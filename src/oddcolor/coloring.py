@@ -2,9 +2,9 @@
 
 An odd coloring is a proper vertex coloring in which every non-isolated
 vertex sees some color an odd number of times on its neighborhood.
-PartialColoring tracks, for each vertex, the multiplicity of every color
-among its currently colored neighbors, so the set of odd-multiplicity
-colors is available in O(1) while colorings are built incrementally.
+PartialColoring tracks, for each vertex, the set of colors with odd
+multiplicity among its currently colored neighbors, so it is available in
+O(1) while colorings are built incrementally.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class PartialColoring:
     """Mutable partial proper coloring with per-vertex neighbor-color parity.
 
     Colors are positive integers 1..k; 0 means uncolored.  Properness is
-    enforced at every assign.  The parity table of a vertex always reflects
-    the multiset of colors on its currently colored neighbors, including
-    vertices that were re-colored after deletion/replay, which is exactly
-    the "current coloring" a colorer must consult before each assignment.
+    enforced at every assign.  The odd-color set of a vertex always reflects
+    the colors on its currently colored neighbors, including vertices that
+    were re-colored after deletion/replay, which is exactly the "current
+    coloring" a colorer must consult before each assignment.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -58,7 +58,6 @@ class PartialColoring:
         self.graph = graph
         self.k = k
         self.color = [0] * graph.n
-        self._counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
         self._odd: list[set[int]] = [set() for _ in range(graph.n)]
 
     def is_colored(self, v: int) -> bool:
@@ -73,34 +72,23 @@ class PartialColoring:
             if self.color[w] == c:
                 raise ValueError(f"color {c} on {v} clashes with neighbor {w}")
         self.color[v] = c
-        for w in self.graph.neighbors(v):
-            counts = self._counts[w]
-            counts[c] = counts.get(c, 0) + 1
-            odd = self._odd[w]
-            if c in odd:
-                odd.discard(c)
-            else:
-                odd.add(c)
+        self._flip(v, c)
 
     def unassign(self, v: int) -> None:
         c = self.color[v]
         if c == 0:
             raise ValueError(f"vertex {v} is not colored")
         self.color[v] = 0
+        self._flip(v, c)
+
+    def _flip(self, v: int, c: int) -> None:
+        """Toggle the parity of color c on every neighbor of v."""
         for w in self.graph.neighbors(v):
-            counts = self._counts[w]
-            counts[c] -= 1
-            if counts[c] == 0:
-                del counts[c]
             odd = self._odd[w]
             if c in odd:
                 odd.discard(c)
             else:
                 odd.add(c)
-
-    def parity(self, v: int) -> dict[int, int]:
-        """Copy of v's color -> multiplicity table over colored neighbors."""
-        return dict(self._counts[v])
 
     def odd_color_set(self, v: int) -> set[int]:
         """Colors with odd multiplicity among v's currently colored neighbors."""
@@ -152,7 +140,8 @@ def is_odd_coloring(g: Graph, colors: Iterable[int]) -> tuple[bool, list[Violati
 
 
 # ---------------------------------------------------------------------------
-# Coloring files: {"k": int, "colors": [c_1, ..., c_n]} with 1-based colors.
+# Coloring files: {"k": int, "colors": [c_1, ..., c_n]} with every c_i in 1..k
+# (k = 0 only for the empty graph, as `color` writes it).
 
 
 def coloring_to_json(colors: Iterable[int], k: int, **extra: object) -> str:
@@ -170,8 +159,18 @@ def coloring_from_json(text: str) -> tuple[int, list[int]]:
         raise ValueError('coloring JSON must be an object with "k" and "colors"')
     k = payload["k"]
     cols = payload["colors"]
-    if not isinstance(k, int) or not isinstance(cols, list):
+    if not _is_int(k) or not isinstance(cols, list):
         raise ValueError('coloring JSON must map "k" to an int and "colors" to a list')
-    if not all(isinstance(c, int) for c in cols):
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if not all(_is_int(c) for c in cols):
         raise ValueError("colors must be integers")
+    for v, c in enumerate(cols):
+        if not 1 <= c <= k:
+            raise ValueError(f"vertex {v} has color {c} outside 1..{k}")
     return k, cols
+
+
+def _is_int(x: object) -> bool:
+    """True for JSON integers; JSON true/false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -108,6 +108,9 @@ class _Peeler:
                     self.deg[w] -= 1
 
 
+_Finder = Callable[[_Peeler], ReductionRecord | None]
+
+
 def _two_neighbors(st: _Peeler, v: int) -> list[int]:
     return [w for w in st.nbrs(v) if st.deg[w] == 2]
 
@@ -181,10 +184,7 @@ def _find_eps(st: _Peeler, x: Fraction, deg_cap: int) -> ReductionRecord | None:
 
 
 def _find_six(st: _Peeler) -> ReductionRecord | None:
-    rec = _find_leaf(st)
-    if rec is not None:
-        return rec
-    rec = _find_adjacent_two(st)
+    rec = _find_leaf(st) or _find_adjacent_two(st)
     if rec is not None:
         return rec
     for v in range(st.g.n):
@@ -211,10 +211,7 @@ def _find_six(st: _Peeler) -> ReductionRecord | None:
 
 
 def _find_five(st: _Peeler) -> ReductionRecord | None:
-    rec = _find_leaf(st)
-    if rec is not None:
-        return rec
-    rec = _find_adjacent_two(st)
+    rec = _find_leaf(st) or _find_adjacent_two(st)
     if rec is not None:
         return rec
     for v in range(st.g.n):
@@ -278,7 +275,7 @@ def find_reducible_five(g: Graph) -> ReductionRecord:
     return rec
 
 
-def _reduce_all(g: Graph, find: Callable[[_Peeler], ReductionRecord | None]) -> list[ReductionRecord]:
+def _reduce_all(g: Graph, find: _Finder) -> list[ReductionRecord]:
     st = _Peeler(g)
     records = []
     while st.remaining:
@@ -292,12 +289,16 @@ def _reduce_all(g: Graph, find: Callable[[_Peeler], ReductionRecord | None]) -> 
     return records
 
 
-def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
-    """Full deletion sequence of the eps engine (precondition not re-checked)."""
-    eps = Fraction(eps)
+def _eps_engine(eps: Fraction) -> tuple[_Finder, int]:
+    """Finder and color bound floor(8/eps) + 2 of the eps engine."""
     x = 1 - eps / 2
     k = math.floor(Fraction(8) / eps) + 2
-    return _reduce_all(g, lambda st: _find_eps(st, x, k - 4))
+    return (lambda st: _find_eps(st, x, k - 4)), k
+
+
+def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
+    """Full deletion sequence of the eps engine (precondition not re-checked)."""
+    return _reduce_all(g, _eps_engine(Fraction(eps))[0])
 
 
 def six_reduction_records(g: Graph) -> list[ReductionRecord]:
@@ -444,13 +445,16 @@ def _extend_record(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
         raise RuntimeError(f"unknown record kind {kind!r}")
 
 
-def _replay(g: Graph, records: list[ReductionRecord], k: int) -> tuple[int, ...]:
+def _reduce_and_replay(g: Graph, find: _Finder, k: int, strategy: str) -> ColoringResult:
+    """Reduce with find, replay in reverse with k colors and verify.
+
+    The caller has decided the density band in which k colors suffice."""
     pc = PartialColoring(g, k)
-    for rec in reversed(records):
+    for rec in reversed(_reduce_all(g, find)):
         _extend_record(pc, rec, g)
     if not pc.is_complete():
         raise RuntimeError("replay left vertices uncolored")
-    return tuple(pc.color)
+    return _finish(g, tuple(pc.color), k, strategy)
 
 
 def _finish(g: Graph, colors: tuple[int, ...], bound: int, strategy: str) -> ColoringResult:
@@ -575,9 +579,7 @@ def color_eps(g: Graph, eps: Fraction | int) -> ColoringResult:
         raise ValueError("graph is empty")
     if not mad_at_most(g, 4 - eps):
         raise ValueError(f"mad(G) exceeds 4 - eps = {4 - eps}")
-    k = math.floor(Fraction(8) / eps) + 2
-    records = eps_reduction_records(g, eps)
-    return _finish(g, _replay(g, records, k), k, "eps")
+    return _reduce_and_replay(g, *_eps_engine(eps), "eps")
 
 
 def color_six(g: Graph) -> ColoringResult:
@@ -586,8 +588,7 @@ def color_six(g: Graph) -> ColoringResult:
         raise ValueError("graph is empty")
     if not mad_below(g, 3):
         raise ValueError("color_six requires mad(G) < 3")
-    records = _reduce_all(g, _find_six)
-    return _finish(g, _replay(g, records, 6), 6, "six")
+    return _reduce_and_replay(g, _find_six, 6, "six")
 
 
 def color_five(g: Graph) -> ColoringResult:
@@ -596,8 +597,7 @@ def color_five(g: Graph) -> ColoringResult:
         raise ValueError("graph is empty")
     if not mad_below(g, Fraction(20, 7)):
         raise ValueError("color_five requires mad(G) < 20/7")
-    records = _reduce_all(g, _find_five)
-    return _finish(g, _replay(g, records, 5), 5, "five")
+    return _reduce_and_replay(g, _find_five, 5, "five")
 
 
 def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
@@ -609,8 +609,6 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
     engine at eps = 4 - mad.  Denser graphs fall back to the exact solver
     when a budget is supplied and raise UnsupportedDensityError otherwise.
     """
-    if g.n == 0:
-        return ColoringResult((), 0, 0, "edgeless")
     result = classify_small(g)
     if result is not None:
         return result
@@ -618,13 +616,13 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return color_forest(g)
     if g.n >= 3 and all(d == 2 for d in g.degrees()) and len(g.components()) == 1:
         return color_cycle_graph(g)
-    witness = mad_exact(g)
-    if witness.mad < Fraction(20, 7):
-        return color_five(g)
-    if witness.mad < 3:
-        return color_six(g)
-    if witness.mad < 4:
-        return color_eps(g, 4 - witness.mad)
+    mad = mad_exact(g).mad
+    if mad < Fraction(20, 7):
+        return _reduce_and_replay(g, _find_five, 5, "five")
+    if mad < 3:
+        return _reduce_and_replay(g, _find_six, 6, "six")
+    if mad < 4:
+        return _reduce_and_replay(g, *_eps_engine(4 - mad), "eps")
     if budget is None:
         raise UnsupportedDensityError(
             "mad(G) >= 4: no constructive bound applies; supply a search budget"

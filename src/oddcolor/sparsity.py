@@ -5,13 +5,16 @@ Everything here is exact: densities and orientation weights are rational
 capacities obtained by clearing denominators.  Floating point is not used
 in this module.
 
-The densest-subgraph machinery is the classical flow reduction: for a
-density guess d = p/q, build a network with source arcs of capacity m*q
-into every vertex, sink arcs of capacity m*q + 2p - q*deg(v), and arcs of
-capacity q both ways across every edge.  A minimum cut then equals
-q*(m*n) - 2*max_S (q*|E(S)| - p*|S|), so the cut is strictly below the
-all-source-arcs value exactly when some vertex set S has density above d,
-and the source side of the canonical (minimal) min cut is such an S.
+The densest-subgraph machinery is the classical flow reduction (Goldberg
+1984): for a density guess d = p/q, build a network with source arcs of
+capacity m*q into every vertex, sink arcs of capacity m*q + 2p - q*deg(v),
+and arcs of capacity q both ways across every edge.  A minimum cut then
+equals q*(m*n) - 2*max_S (q*|E(S)| - p*|S|), so the cut is strictly below
+the all-source-arcs value exactly when some vertex set S has density above
+d, and the source side of the canonical (minimal) min cut is such an S.
+That one flow answers every threshold question here; the exact mad is a
+Dinkelbach (1967) iteration of it that jumps from each found set's density
+to the next.
 """
 
 from __future__ import annotations
@@ -159,7 +162,13 @@ class _Dinic:
 
 
 def _denser_subgraph(g: Graph, d: Fraction) -> list[int] | None:
-    """Vertex set with density strictly above d, or None if none exists."""
+    """Vertex set with density strictly above d, or None if none exists.
+
+    The one flow primitive behind every density decision in this module; it
+    rejects the empty graph and a negative threshold.
+    """
+    if g.n == 0:
+        raise ValueError("mad of the empty graph is undefined")
     p, q = d.numerator, d.denominator
     if p < 0:
         raise ValueError("density threshold must be non-negative")
@@ -194,30 +203,25 @@ def subset_density(g: Graph, vertices: Iterable[int]) -> Fraction:
 def mad_exact(g: Graph) -> DensestWitness:
     """Maximum average degree with a maximum-density witness set.
 
-    Binary search on the density threshold, narrowing until the interval is
-    shorter than 1/(n(n-1)); any two distinct subgraph densities differ by
-    at least that, so the best witness density found is the maximum.  A
-    final decision run at the witness density certifies maximality.
+    Dinkelbach iteration: start at d = m/n and, while some vertex set is
+    denser than d, take it as the witness and raise d to its density.  Each
+    d is the density of a subgraph, so its denominator is at most n, and
+    each round raises it strictly; there are finitely many such values, so
+    the loop ends, and it ends only on the flow's "no denser set" answer,
+    which certifies maximality.  The last set found then has maximum
+    density and maximizes |E(S)| - d*|S| at the d before it, so it is the
+    largest maximum-density set: the union of all of them.
     """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
     if g.m == 0:
         return DensestWitness((0,), Fraction(0), Fraction(0))
-    lo = Fraction(g.m, g.n)
-    hi = Fraction(g.n - 1, 2)
     witness = list(range(g.n))
-    gap = Fraction(1, g.n * (g.n - 1))
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        found = _denser_subgraph(g, mid)
-        if found is None:
-            hi = mid
-        else:
-            witness = found
-            lo = subset_density(g, found)
-    if _denser_subgraph(g, lo) is not None:
-        raise RuntimeError("densest-subgraph certification failed")
-    return DensestWitness(tuple(witness), lo, 2 * lo)
+    density = Fraction(g.m, g.n)
+    while (found := _denser_subgraph(g, density)) is not None:
+        witness = found
+        density = subset_density(g, found)
+    return DensestWitness(tuple(witness), density, 2 * density)
 
 
 def mad_below(g: Graph, alpha: Fraction | int) -> bool:
@@ -228,26 +232,16 @@ def mad_below(g: Graph, alpha: Fraction | int) -> bool:
     separates "some subgraph has density >= alpha/2" from the rest.
     """
     alpha = Fraction(alpha)
-    if g.n == 0:
-        raise ValueError("mad of the empty graph is undefined")
-    if alpha <= 0:
+    if alpha <= 0 and g.n:  # a single vertex already has density 0 >= alpha/2
         return False
-    if g.m == 0:
-        return True
-    margin = Fraction(1, 4 * alpha.denominator * g.n)
+    # the empty graph goes on to the flow, which rejects it
+    margin = Fraction(1, 4 * alpha.denominator * max(g.n, 1))
     return _denser_subgraph(g, alpha / 2 - margin) is None
 
 
 def mad_at_most(g: Graph, alpha: Fraction | int) -> bool:
     """Decide mad(G) <= alpha with a single flow and no certificates."""
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if g.n == 0:
-        raise ValueError("mad of the empty graph is undefined")
-    if g.m == 0:
-        return True
-    return _denser_subgraph(g, alpha / 2) is None
+    return _denser_subgraph(g, Fraction(alpha) / 2) is None
 
 
 def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
@@ -257,12 +251,6 @@ def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
     false comes with a vertex set of density above alpha/2.
     """
     alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if g.n == 0:
-        raise ValueError("mad of the empty graph is undefined")
-    if g.m == 0:
-        return MadDecision(True, FractionalOrientation({}, (Fraction(0),) * g.n))
     found = _denser_subgraph(g, alpha / 2)
     if found is None:
         orient = fractional_orientation(g, alpha)

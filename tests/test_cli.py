@@ -1,14 +1,24 @@
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oddcolor
+from oddcolor import Graph, serialize_graph, subdivide
+
 CMD = [sys.executable, "-m", "oddcolor"]
+# the CLI runs the same package the tests imported, installed or not
+SRC = str(Path(oddcolor.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(args, stdin=None):
-    return subprocess.run(CMD + args, input=stdin, capture_output=True, text=True)
+    return subprocess.run(CMD + args, input=stdin, capture_output=True, text=True, env=ENV)
 
 
 def chain(*stages):
@@ -31,6 +41,37 @@ class TestMad:
         lines = out.splitlines()
         assert lines[0] == "mad 2/1"
         assert lines[1] == "witness 0 1 2 3 4 5"
+
+
+class TestMadWitnessGolden:
+    """`mad --witness` output recorded with the earlier bisection search, so
+    the expectation does not come from the code it checks.  Both searches
+    return the union of all maximum-density sets."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "mad_witness.json").read_text())
+
+    @staticmethod
+    def seeded_subdivided(seed, n):
+        # floor(3n/2) distinct random edges on n vertices, then subdivided
+        rng = random.Random(seed)
+        edges = set()
+        while len(edges) < 3 * n // 2:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        return serialize_graph(subdivide(Graph(n, sorted(edges))))
+
+    @pytest.mark.parametrize("name, gen_args", [
+        ("kstar-6", ["gen", "kstar", "6"]),
+        ("cycle-leaves-9", ["gen", "cycle-leaves", "9", "1,1,1"]),
+        ("subdivided-random", None),
+    ])
+    def test_byte_identical(self, name, gen_args):
+        if gen_args:
+            graph = chain(gen_args)
+        else:
+            graph = self.seeded_subdivided(7, 120)
+            assert graph.startswith("300 360\n")  # the graph the golden was recorded on
+        proc = run(["mad", "--witness"], stdin=graph)
+        assert proc.returncode == 0 and proc.stdout == self.GOLDEN[name]
 
 
 class TestExact:
@@ -89,6 +130,28 @@ class TestColorVerify:
         proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
         assert proc.returncode == 0, proc.stdout
         assert proc.stdout == "VALID\n"
+
+    @pytest.mark.parametrize("coloring", [
+        '{"k": true, "colors": [1, 2, 1]}',
+        '{"k": 2, "colors": [1, true, 1]}',
+        '{"k": 2, "colors": [1, 7, 1]}',
+    ])
+    def test_verify_rejects_malformed_file(self, tmp_path, coloring):
+        graph_file = tmp_path / "p3.txt"
+        graph_file.write_text("3 2\n0 1\n1 2\n")
+        coloring_file = tmp_path / "bad.json"
+        coloring_file.write_text(coloring)
+        proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    def test_empty_graph_round_trip(self, tmp_path):
+        graph_file = tmp_path / "empty.txt"
+        graph_file.write_text("0 0\n")
+        coloring_file = tmp_path / "c.json"
+        coloring_file.write_text(chain(["color", "-i", str(graph_file)]))
+        proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
+        assert proc.returncode == 0 and proc.stdout == "VALID\n"
 
     def test_strategy_epsilon(self):
         graph = chain(["gen", "kstar", "7"])

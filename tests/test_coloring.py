@@ -24,9 +24,10 @@ class TestPartialColoring:
         pc.assign(0, 1)
         pc.assign(1, 2)
         pc.assign(2, 1)
-        assert pc.parity(1) == {1: 2}
-        assert pc.parity(3) == {1: 2}
         assert pc.odd_color_set(1) == set()
+        assert pc.odd_color_set(3) == set()
+        assert pc.odd_color_set(0) == {2}
+        assert pc.odd_color_set(2) == {2}
 
     def test_properness_enforced(self):
         pc = PartialColoring(gen_cycle(4), 4)
@@ -50,8 +51,10 @@ class TestPartialColoring:
     def test_unassign(self):
         pc = PartialColoring(gen_cycle(4), 4)
         pc.assign(0, 1)
+        assert pc.odd_color_set(1) == {1}
         pc.unassign(0)
-        assert pc.parity(1) == {}
+        assert pc.odd_color_set(1) == set()
+        assert pc.odd_color_set(3) == set()
         with pytest.raises(ValueError, match="not colored"):
             pc.unassign(0)
 
@@ -114,7 +117,6 @@ class TestPartialColoring:
                     for w in g.neighbors(u):
                         if pc.color[w]:
                             recount[pc.color[w]] = recount.get(pc.color[w], 0) + 1
-                    assert pc.parity(u) == recount
                     assert pc.odd_color_set(u) == {
                         c for c, k in recount.items() if k % 2 == 1
                     }
@@ -193,3 +195,17 @@ class TestColoringJson:
             coloring_from_json('{"k": 2}')
         with pytest.raises(ValueError):
             coloring_from_json('{"k": 2, "colors": [1, "a"]}')
+        with pytest.raises(ValueError):
+            coloring_from_json('{"k": true, "colors": [1, 1]}')
+        with pytest.raises(ValueError):
+            coloring_from_json('{"k": 2, "colors": [1, true]}')
+        with pytest.raises(ValueError):
+            coloring_from_json('{"k": 2, "colors": [1, 7, 1]}')
+        with pytest.raises(ValueError):
+            coloring_from_json('{"k": -1, "colors": []}')
+        with pytest.raises(ValueError):
+            coloring_from_json('{"k": 0, "colors": [1]}')
+
+    def test_empty_graph_file(self):
+        # `color` on the empty graph writes k = 0 and no colors
+        assert coloring_from_json('{"k": 0, "colors": []}') == (0, [])

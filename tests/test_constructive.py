@@ -30,9 +30,10 @@ from oddcolor import (
     kstar_coloring,
     mad_at_most,
     mad_below,
+    mad_exact,
     six_reduction_records,
 )
-from oddcolor import Graph
+from oddcolor import Graph, sparsity
 
 import util
 
@@ -375,6 +376,26 @@ class TestColorAuto:
             first = color_auto(g, SolveBudget(max_k=16))
             second = color_auto(g, SolveBudget(max_k=16))
             assert first == second
+
+    @pytest.mark.parametrize("n, strategy, engine", [
+        (5, "five", color_five),
+        (6, "six", color_six),
+        (7, "eps", lambda g: color_eps(g, 1)),
+    ])
+    def test_density_decided_once(self, monkeypatch, n, strategy, engine):
+        # color_auto runs mad_exact's flows and no second band check
+        g = gen_kstar(n)
+        calls = []
+        flow = sparsity._denser_subgraph
+        monkeypatch.setattr(
+            sparsity, "_denser_subgraph", lambda *a: calls.append(a) or flow(*a)
+        )
+        mad_exact(g)
+        alone = len(calls)
+        calls.clear()
+        result = color_auto(g)
+        assert alone > 0 and len(calls) == alone
+        assert result.strategy == strategy and result == engine(g)
 
 
 class TestKstarColoring:

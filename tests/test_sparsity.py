@@ -58,6 +58,14 @@ class TestMadExact:
             g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
             assert mad_exact(g).mad == brute_force_mad(g)
 
+    def test_witness_is_union_of_densest_sets(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            # at least one edge: edgeless graphs report the single vertex (0,)
+            n = rng.randint(2, 12)
+            g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
+            assert mad_exact(g).vertices == util.brute_force_densest_union(g)
+
 
 class TestMadDecide:
     def test_complete_four(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from oddcolor import Graph
@@ -44,6 +45,20 @@ def brute_force_girth(g: Graph) -> int | None:
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length)):
                     return length
     return None
+
+
+def brute_force_densest_union(g: Graph) -> tuple[int, ...]:
+    """Union of all maximum-density vertex sets, by enumerating every subset."""
+    assert 1 <= g.n <= 12
+    best, union = Fraction(-1), 0
+    for mask in range(1, 1 << g.n):
+        inner = sum(1 for u, v in g.edges() if mask >> u & 1 and mask >> v & 1)
+        density = Fraction(inner, mask.bit_count())
+        if density > best:
+            best, union = density, mask
+        elif density == best:
+            union |= mask
+    return tuple(v for v in range(g.n) if union >> v & 1)
 
 
 def odd_coloring_by_definition(g: Graph, cols: list[int]) -> bool:
