@@ -105,9 +105,10 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     strategy = args.strategy
+    budget = _budget(args)
     try:
         if strategy == "auto":
-            result = constructive.color_auto(g, _budget(args))
+            result = constructive.color_auto(g, budget)
         elif strategy == "forest":
             result = constructive.color_forest(g)
         elif strategy == "cycle":

@@ -13,6 +13,22 @@ against the coloring as it stands, including vertices recolored earlier in
 the replay; with two or more odd classes nothing needs protecting, because
 a new neighbor color flips a single parity class.
 
+An engine is an ordered table of rules, one per reducible configuration of
+the paper's discharging argument.  A rule names the current degrees its
+center may have and a match function that returns the configuration's
+record at a vertex, or None.  The first rule that matches wins, at its
+lowest-indexed vertex (read from the peeler's degree buckets), so
+reductions are fully deterministic.  The eps engine ends in one special
+rule that picks the degree-4+ vertex of least charge.  The 5-color engine
+keeps its two 4v-weak rules as separate rows: every center the first (four
+2-neighbors) accepts, the second (a 2-neighbor and only weak neighbors)
+accepts too, so one merged row would pick the lowest center of either
+shape and change the reduction sequence.
+
+Every record kind except adjacent-4v is a star: a center, colored first,
+and some of its degree-2 neighbors.  One replay colors all of them, driven
+by three flags per kind (``_STAR_REPLAY``); adjacent-4v has its own.
+
 Three engines are provided:
 
 * ``color_eps(g, eps)``: mad(g) <= 4 - eps gives floor(8/eps) + 2 colors;
@@ -27,13 +43,14 @@ graphs, and a dispatcher that picks the strongest applicable strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
 from .exact import SolveBudget, odd_chromatic_number
-from .graph import Graph, gen_cycle, gen_kstar
+from .graph import Graph, _Peeler, gen_cycle, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
 
 
@@ -80,65 +97,13 @@ class ColoringResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# Deletion state
-
-
-class _Peeler:
-    """Alive-mask view of a graph while configurations are deleted."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.alive = [True] * g.n
-        self.deg = list(g.degrees())
-        self.remaining = g.n
-
-    def nbrs(self, v: int) -> list[int]:
-        return [w for w in self.g.neighbors(v) if self.alive[w]]
-
-    def delete(self, vs: tuple[int, ...]) -> None:
-        for v in vs:
-            if not self.alive[v]:
-                raise RuntimeError(f"vertex {v} deleted twice")
-            self.alive[v] = False
-            self.remaining -= 1
-        for v in vs:
-            for w in self.g.neighbors(v):
-                if self.alive[w]:
-                    self.deg[w] -= 1
-
-
 _Finder = Callable[[_Peeler], ReductionRecord | None]
+_Match = Callable[[_Peeler, int], ReductionRecord | None]
+_Rule = tuple[tuple[int, ...], _Match]  # (center degrees, match)
 
 
 def _two_neighbors(st: _Peeler, v: int) -> list[int]:
     return [w for w in st.nbrs(v) if st.deg[w] == 2]
-
-
-# ---------------------------------------------------------------------------
-# Configuration finders.  Each scans in a fixed priority order, breaking
-# ties by lowest vertex index, so reductions are fully deterministic.
-
-
-def _find_leaf(st: _Peeler) -> ReductionRecord | None:
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] <= 1:
-            return ReductionRecord("leaf", (v,), {v: tuple(st.nbrs(v))})
-    return None
-
-
-def _find_adjacent_two(st: _Peeler) -> ReductionRecord | None:
-    for v in range(st.g.n):
-        if not st.alive[v] or st.deg[v] != 2:
-            continue
-        for u in st.nbrs(v):
-            if st.deg[u] == 2:
-                other_v = next(w for w in st.nbrs(v) if w != u)
-                other_u = next(w for w in st.nbrs(u) if w != v)
-                return ReductionRecord(
-                    "adjacent-2", (v, u), {v: (other_v,), u: (other_u,)}
-                )
-    return None
 
 
 def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRecord:
@@ -150,116 +115,137 @@ def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRe
     return ReductionRecord(kind, (v, *twos), frontier)
 
 
-def _find_eps(st: _Peeler, x: Fraction, deg_cap: int) -> ReductionRecord | None:
-    rec = _find_leaf(st)
-    if rec is not None:
-        return rec
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 3:
-            return ReductionRecord("three-vertex", (v,), {v: tuple(st.nbrs(v))})
-    rec = _find_adjacent_two(st)
-    if rec is not None:
-        return rec
-    # A degree-4+ vertex minimizing deg(v) - x * (number of 2-neighbors);
-    # the discharging argument guarantees the minimum is at most 2 + 2x.
-    best = -1
-    best_val: Fraction | None = None
-    for v in range(st.g.n):
-        if not st.alive[v] or st.deg[v] < 4:
-            continue
-        val = st.deg[v] - x * len(_two_neighbors(st, v))
-        if best_val is None or val < best_val:
-            best, best_val = v, val
-    if best_val is None:
+# ---------------------------------------------------------------------------
+# Configurations: each matches at a center v of the degree its rule names
+
+
+def _leaf(st: _Peeler, v: int) -> ReductionRecord:
+    return _star_record("leaf", st, v, [])
+
+
+def _three_vertex(st: _Peeler, v: int) -> ReductionRecord:
+    return _star_record("three-vertex", st, v, [])
+
+
+def _adjacent_two(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    return _star_record("adjacent-2", st, v, twos[:1]) if twos else None
+
+
+def _three_with_two(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    return _star_record("3v-with-2nbr", st, v, twos[:1]) if twos else None
+
+
+def _four_three_twos(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    return _star_record("4v-three-2nbrs", st, v, twos[:3]) if len(twos) >= 3 else None
+
+
+def _five_five_twos(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    return _star_record("5v-five-2nbrs", st, v, twos) if len(twos) == 5 else None
+
+
+def _three_weak_pair(st: _Peeler, v: int) -> ReductionRecord | None:
+    if sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < 2:
         return None
-    if best_val > 2 + 2 * x:
+    rec = _star_record("3v-weak-pair", st, v, _two_neighbors(st, v))
+    surv = rec.frontier[v]
+    protect = {u for u in surv if st.deg[u] >= 4}
+    if len(surv) == 1:
+        protect.add(surv[0])
+    return replace(rec, protect=tuple(sorted(protect)))
+
+
+def _four_weak_all_twos(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    return _star_record("4v-weak", st, v, twos) if len(twos) == 4 else None
+
+
+def _four_weak(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos = _two_neighbors(st, v)
+    if twos and all(st.deg[w] <= 3 for w in st.nbrs(v)):
+        return _star_record("4v-weak", st, v, twos)
+    return None
+
+
+def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
+    twos_v = _two_neighbors(st, v)
+    if len(twos_v) != 3:
+        return None
+    w = next(u for u in st.nbrs(v) if st.deg[u] != 2)
+    if st.deg[w] != 4:
+        return None
+    twos_w = _two_neighbors(st, w)
+    if len(twos_w) != 3:
+        return None
+    deleted = (v, w, *sorted(set(twos_v) | set(twos_w)))
+    frontier: dict[int, tuple[int, ...]] = {v: (), w: ()}
+    for u in deleted[2:]:
+        frontier[u] = tuple(x for x in st.nbrs(u) if x != v and x != w)
+    return ReductionRecord("adjacent-4v", deleted, frontier)
+
+
+def _least_charge_star(st: _Peeler, x: Fraction, deg_cap: int) -> ReductionRecord | None:
+    """Star at the degree-4+ vertex minimizing deg(v) - x * (number of
+    2-neighbors), lowest index on ties; the discharging argument guarantees
+    the minimum is at most 2 + 2x."""
+    centers = st.of_degree(range(4, len(st.bucket)))
+    if not centers:
+        return None
+    best = min(centers, key=lambda v: st.deg[v] - x * len(_two_neighbors(st, v)))
+    twos = _two_neighbors(st, best)
+    charge = st.deg[best] - x * len(twos)
+    if charge > 2 + 2 * x:
         raise ReductionExhaustedError(
-            f"selected vertex {best} has charge {best_val} > {2 + 2 * x}"
+            f"selected vertex {best} has charge {charge} > {2 + 2 * x}"
         )
     if st.deg[best] > deg_cap:
         raise ReductionExhaustedError(
             f"selected vertex {best} has degree {st.deg[best]} > {deg_cap}"
         )
-    return _star_record("star", st, best, _two_neighbors(st, best))
+    return _star_record("star", st, best, twos)
 
 
-def _find_six(st: _Peeler) -> ReductionRecord | None:
-    rec = _find_leaf(st) or _find_adjacent_two(st)
-    if rec is not None:
-        return rec
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 3:
-            twos = _two_neighbors(st, v)
-            if twos:
-                w1 = twos[0]
-                others = tuple(w for w in st.nbrs(v) if w != w1)
-                x1 = next(x for x in st.nbrs(w1) if x != v)
-                return ReductionRecord(
-                    "3v-with-2nbr", (v, w1), {v: others, w1: (x1,)}
-                )
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 4:
-            twos = _two_neighbors(st, v)
-            if len(twos) >= 3:
-                return _star_record("4v-three-2nbrs", st, v, twos[:3])
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 5:
-            twos = _two_neighbors(st, v)
-            if len(twos) == 5:
-                return _star_record("5v-five-2nbrs", st, v, twos)
+def _first(rules: tuple[_Rule, ...], st: _Peeler) -> ReductionRecord | None:
+    """Record of the first rule that matches, at its lowest-indexed center."""
+    for degrees, match in rules:
+        for v in st.of_degree(degrees):
+            rec = match(st, v)
+            if rec is not None:
+                return rec
     return None
 
 
-def _find_five(st: _Peeler) -> ReductionRecord | None:
-    rec = _find_leaf(st) or _find_adjacent_two(st)
-    if rec is not None:
-        return rec
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 3:
-            weak = [w for w in st.nbrs(v) if st.deg[w] <= 3]
-            if len(weak) >= 2:
-                rec = _star_record("3v-weak-pair", st, v, _two_neighbors(st, v))
-                surv = rec.frontier[v]
-                protect = {u for u in surv if st.deg[u] >= 4}
-                if len(surv) == 1:
-                    protect.add(surv[0])
-                return ReductionRecord(
-                    rec.kind, rec.deleted, rec.frontier, tuple(sorted(protect))
-                )
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 4:
-            twos = _two_neighbors(st, v)
-            if len(twos) == 4:
-                return _star_record("4v-weak", st, v, twos)
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 4:
-            twos = _two_neighbors(st, v)
-            if twos and all(st.deg[w] <= 3 for w in st.nbrs(v)):
-                return _star_record("4v-weak", st, v, twos)
-    for v in range(st.g.n):
-        if st.alive[v] and st.deg[v] == 4:
-            twos_v = _two_neighbors(st, v)
-            if len(twos_v) != 3:
-                continue
-            w = next(u for u in st.nbrs(v) if st.deg[u] != 2)
-            if st.deg[w] != 4:
-                continue
-            twos_w = _two_neighbors(st, w)
-            if len(twos_w) != 3:
-                continue
-            deleted = (v, w, *sorted(set(twos_v) | set(twos_w)))
-            frontier: dict[int, tuple[int, ...]] = {v: (), w: ()}
-            for u in deleted[2:]:
-                frontier[u] = tuple(x for x in st.nbrs(u) if x != v and x != w)
-            return ReductionRecord("adjacent-4v", deleted, frontier)
-    return None
+# Rule tables, in priority order.
+_SIX: _Finder = partial(_first, (
+    ((0, 1), _leaf),
+    ((2,), _adjacent_two),
+    ((3,), _three_with_two),
+    ((4,), _four_three_twos),
+    ((5,), _five_five_twos),
+))
+_FIVE: _Finder = partial(_first, (
+    ((0, 1), _leaf),
+    ((2,), _adjacent_two),
+    ((3,), _three_weak_pair),
+    ((4,), _four_weak_all_twos),
+    ((4,), _four_weak),
+    ((4,), _adjacent_four),
+))
+_EPS_RULES = (
+    ((0, 1), _leaf),
+    ((3,), _three_vertex),
+    ((2,), _adjacent_two),
+)
 
 
 def find_reducible_six(g: Graph) -> ReductionRecord:
     """First reducible configuration of the 6-color engine (mad < 3)."""
     if g.n == 0:
         raise ValueError("graph is empty")
-    rec = _find_six(_Peeler(g))
+    rec = _SIX(_Peeler(g))
     if rec is None:
         raise ReductionExhaustedError("no 6-color configuration; is mad(G) < 3?")
     return rec
@@ -269,7 +255,7 @@ def find_reducible_five(g: Graph) -> ReductionRecord:
     """First reducible configuration of the 5-color engine (mad < 20/7)."""
     if g.n == 0:
         raise ValueError("graph is empty")
-    rec = _find_five(_Peeler(g))
+    rec = _FIVE(_Peeler(g))
     if rec is None:
         raise ReductionExhaustedError("no 5-color configuration; is mad(G) < 20/7?")
     return rec
@@ -293,7 +279,7 @@ def _eps_engine(eps: Fraction) -> tuple[_Finder, int]:
     """Finder and color bound floor(8/eps) + 2 of the eps engine."""
     x = 1 - eps / 2
     k = math.floor(Fraction(8) / eps) + 2
-    return (lambda st: _find_eps(st, x, k - 4)), k
+    return (lambda st: _first(_EPS_RULES, st) or _least_charge_star(st, x, k - 4)), k
 
 
 def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
@@ -303,12 +289,12 @@ def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
 
 def six_reduction_records(g: Graph) -> list[ReductionRecord]:
     """Full deletion sequence of the 6-color engine (precondition not re-checked)."""
-    return _reduce_all(g, _find_six)
+    return _reduce_all(g, _SIX)
 
 
 def five_reduction_records(g: Graph) -> list[ReductionRecord]:
     """Full deletion sequence of the 5-color engine (precondition not re-checked)."""
-    return _reduce_all(g, _find_five)
+    return _reduce_all(g, _FIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -321,109 +307,30 @@ def _add_unique_odd(avoid: set[int], pc: PartialColoring, v: int) -> None:
         avoid.add(c)
 
 
-def _extend_record(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
+# kind -> (protect_surv, dodge_center, dodge_lone) for the star replay.
+# protect_surv: the center avoids the unique odd colors of its surviving
+#   neighbors; otherwise those of rec.protect.
+# dodge_center: each 2-neighbor avoids the center's unique odd color, so
+#   the center keeps an odd class (a 4v-weak center has even degree).
+# dodge_lone: when the center has one surviving neighbor, each 2-neighbor
+#   avoids its color, so that color keeps multiplicity one on N(center).
+_STAR_REPLAY = {
+    "leaf": (True, False, False),
+    "three-vertex": (True, False, False),
+    "3v-with-2nbr": (True, False, False),
+    "5v-five-2nbrs": (True, False, False),
+    "adjacent-2": (True, False, True),
+    "4v-three-2nbrs": (True, False, True),
+    "star": (True, True, False),
+    "3v-weak-pair": (False, False, True),
+    "4v-weak": (False, True, False),
+}
+
+
+def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
     k = pc.k
     col = pc.color
-    kind = rec.kind
-    if kind in ("leaf", "three-vertex"):
-        v = rec.deleted[0]
-        avoid: set[int] = set()
-        for w in rec.frontier[v]:
-            avoid.add(col[w])
-            _add_unique_odd(avoid, pc, w)
-        pc.assign(v, choose_color(avoid, k))
-    elif kind == "adjacent-2":
-        v1, v2 = rec.deleted
-        (v0,) = rec.frontier[v1]
-        (v3,) = rec.frontier[v2]
-        avoid = {col[v0], col[v3]}
-        _add_unique_odd(avoid, pc, v0)
-        pc.assign(v1, choose_color(avoid, k))
-        avoid = {col[v1], col[v0], col[v3]}
-        _add_unique_odd(avoid, pc, v3)
-        pc.assign(v2, choose_color(avoid, k))
-    elif kind == "star":
-        v, ws = rec.deleted[0], rec.deleted[1:]
-        avoid = set()
-        for u in rec.frontier[v]:
-            avoid.add(col[u])
-            _add_unique_odd(avoid, pc, u)
-        for w in ws:
-            for y in rec.frontier[w]:
-                avoid.add(col[y])
-        pc.assign(v, choose_color(avoid, k))
-        for w in ws:
-            (y,) = rec.frontier[w]
-            avoid = {col[v], col[y]}
-            _add_unique_odd(avoid, pc, v)
-            _add_unique_odd(avoid, pc, y)
-            pc.assign(w, choose_color(avoid, k))
-    elif kind == "3v-with-2nbr":
-        v, w1 = rec.deleted
-        (x1,) = rec.frontier[w1]
-        avoid = {col[x1]}
-        for u in rec.frontier[v]:
-            avoid.add(col[u])
-            _add_unique_odd(avoid, pc, u)
-        pc.assign(v, choose_color(avoid, k))
-        avoid = {col[v], col[x1]}
-        _add_unique_odd(avoid, pc, x1)
-        pc.assign(w1, choose_color(avoid, k))
-    elif kind == "4v-three-2nbrs":
-        v, ws = rec.deleted[0], rec.deleted[1:]
-        (w4,) = rec.frontier[v]
-        avoid = {col[w4]}
-        _add_unique_odd(avoid, pc, w4)
-        for w in ws:
-            avoid.add(col[rec.frontier[w][0]])
-        pc.assign(v, choose_color(avoid, k))
-        # every 2-neighbor also avoids the color on the kept fourth
-        # neighbor, so that color keeps multiplicity one on N(v)
-        for w in ws:
-            (x,) = rec.frontier[w]
-            avoid = {col[v], col[x], col[w4]}
-            _add_unique_odd(avoid, pc, x)
-            pc.assign(w, choose_color(avoid, k))
-    elif kind == "5v-five-2nbrs":
-        v, ws = rec.deleted[0], rec.deleted[1:]
-        avoid = {col[rec.frontier[w][0]] for w in ws}
-        pc.assign(v, choose_color(avoid, k))
-        for w in ws:
-            (x,) = rec.frontier[w]
-            avoid = {col[v], col[x]}
-            _add_unique_odd(avoid, pc, x)
-            pc.assign(w, choose_color(avoid, k))
-    elif kind == "3v-weak-pair":
-        v, ws = rec.deleted[0], rec.deleted[1:]
-        surv = rec.frontier[v]
-        avoid = {col[u] for u in surv}
-        for p in rec.protect:
-            _add_unique_odd(avoid, pc, p)
-        for w in ws:
-            avoid.add(col[rec.frontier[w][0]])
-        pc.assign(v, choose_color(avoid, k))
-        for w in ws:
-            (x,) = rec.frontier[w]
-            avoid = {col[v], col[x]}
-            _add_unique_odd(avoid, pc, x)
-            if len(surv) == 1:
-                avoid.add(col[surv[0]])
-            pc.assign(w, choose_color(avoid, k))
-    elif kind == "4v-weak":
-        v, ws = rec.deleted[0], rec.deleted[1:]
-        avoid = {col[u] for u in rec.frontier[v]}
-        for w in ws:
-            avoid.add(col[rec.frontier[w][0]])
-        pc.assign(v, choose_color(avoid, k))
-        # the center has even degree, so its odd class is maintained by
-        # making each 2-neighbor dodge the center's current unique odd color
-        for w in ws:
-            (x,) = rec.frontier[w]
-            avoid = {col[v], col[x]}
-            _add_unique_odd(avoid, pc, v)
-            _add_unique_odd(avoid, pc, x)
-            pc.assign(w, choose_color(avoid, k))
-    elif kind == "adjacent-4v":
+    if rec.kind == "adjacent-4v":
         v, w = rec.deleted[0], rec.deleted[1]
         twos = rec.deleted[2:]
         avoid = {
@@ -441,8 +348,23 @@ def _extend_record(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
                 avoid.add(col[p])
                 _add_unique_odd(avoid, pc, p)
             pc.assign(u, choose_color(avoid, k))
-    else:  # pragma: no cover
-        raise RuntimeError(f"unknown record kind {kind!r}")
+        return
+    protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
+    v, ws = rec.deleted[0], rec.deleted[1:]
+    surv = rec.frontier[v]
+    avoid = {col[u] for u in surv} | {col[rec.frontier[w][0]] for w in ws}
+    for u in surv if protect_surv else rec.protect:
+        _add_unique_odd(avoid, pc, u)
+    pc.assign(v, choose_color(avoid, k))
+    for w in ws:
+        (x,) = rec.frontier[w]
+        avoid = {col[v], col[x]}
+        _add_unique_odd(avoid, pc, x)
+        if dodge_center:
+            _add_unique_odd(avoid, pc, v)
+        if dodge_lone and len(surv) == 1:
+            avoid.add(col[surv[0]])
+        pc.assign(w, choose_color(avoid, k))
 
 
 def _reduce_and_replay(g: Graph, find: _Finder, k: int, strategy: str) -> ColoringResult:
@@ -451,7 +373,7 @@ def _reduce_and_replay(g: Graph, find: _Finder, k: int, strategy: str) -> Colori
     The caller has decided the density band in which k colors suffice."""
     pc = PartialColoring(g, k)
     for rec in reversed(_reduce_all(g, find)):
-        _extend_record(pc, rec, g)
+        _replay(pc, rec, g)
     if not pc.is_complete():
         raise RuntimeError("replay left vertices uncolored")
     return _finish(g, tuple(pc.color), k, strategy)
@@ -588,7 +510,7 @@ def color_six(g: Graph) -> ColoringResult:
         raise ValueError("graph is empty")
     if not mad_below(g, 3):
         raise ValueError("color_six requires mad(G) < 3")
-    return _reduce_and_replay(g, _find_six, 6, "six")
+    return _reduce_and_replay(g, _SIX, 6, "six")
 
 
 def color_five(g: Graph) -> ColoringResult:
@@ -597,7 +519,7 @@ def color_five(g: Graph) -> ColoringResult:
         raise ValueError("graph is empty")
     if not mad_below(g, Fraction(20, 7)):
         raise ValueError("color_five requires mad(G) < 20/7")
-    return _reduce_and_replay(g, _find_five, 5, "five")
+    return _reduce_and_replay(g, _FIVE, 5, "five")
 
 
 def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
@@ -618,9 +540,9 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return color_cycle_graph(g)
     mad = mad_exact(g).mad
     if mad < Fraction(20, 7):
-        return _reduce_and_replay(g, _find_five, 5, "five")
+        return _reduce_and_replay(g, _FIVE, 5, "five")
     if mad < 3:
-        return _reduce_and_replay(g, _find_six, 6, "six")
+        return _reduce_and_replay(g, _SIX, 6, "six")
     if mad < 4:
         return _reduce_and_replay(g, *_eps_engine(4 - mad), "eps")
     if budget is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _Peeler
 
 
 class BudgetExceededError(Exception):
@@ -31,7 +31,7 @@ class SolveBudget:
     def __post_init__(self) -> None:
         for name in ("max_k", "time_limit", "node_limit"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive when present")
 
 
@@ -69,19 +69,12 @@ class _BudgetClock:
 def degeneracy_order(g: Graph) -> list[int]:
     """Smallest-last vertex order: repeatedly remove a minimum-degree vertex
     (ties by lowest index) and place it at the end."""
-    deg = list(g.degrees())
-    alive = [True] * g.n
+    st = _Peeler(g)
     removed = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if alive[v] and (best == -1 or deg[v] < deg[best]):
-                best = v
-        alive[best] = False
-        removed.append(best)
-        for w in g.neighbors(best):
-            if alive[w]:
-                deg[w] -= 1
+    while st.remaining:
+        v = min(next(b for b in st.bucket if b))
+        removed.append(v)
+        st.delete((v,))
     removed.reverse()
     return removed
 

@@ -88,6 +88,12 @@ class TestExact:
         payload = json.loads(proc.stdout)
         assert payload["status"] == "budget-exceeded" and payload["chi_o"] is None
 
+    @pytest.mark.parametrize("command", ["exact", "color"])
+    def test_nan_timeout_is_usage_error(self, command):
+        graph = chain(["gen", "cycle", "5"])
+        proc = run([command, "--timeout", "nan"], stdin=graph)
+        assert proc.returncode == 2 and "time_limit" in proc.stderr
+
 
 class TestColorVerify:
     def test_verify_valid(self, tmp_path):

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,10 @@ from oddcolor import Graph, sparsity
 
 import util
 
+# two adjacent 4-vertices sharing a degree-2 neighbor (vertex 4), closed by
+# a mirrored pair so no cheaper configuration of the 5-color engine exists
+ADJACENT_4V_GRAPH = Graph(10, [(0, 1), (0, 4), (1, 4), (0, 5), (0, 6), (1, 7), (1, 8),
+                               (2, 3), (2, 9), (3, 9), (2, 5), (2, 6), (3, 7), (3, 8)])
 
 def assert_valid(g, result):
     ok, violations = is_odd_coloring(g, result.colors)
@@ -229,12 +237,9 @@ class TestColorFive:
         assert_valid(gen_cycle(3), result)
 
     def test_adjacent_four_vertices_with_shared_two_vertex(self):
-        # two adjacent 4-vertices sharing a degree-2 neighbor (vertex 4),
-        # closed by a mirrored pair so no cheaper configuration exists; the
-        # shared vertex has an empty frontier and both its anchors are
-        # recolored within the same record
-        g = Graph(10, [(0, 1), (0, 4), (1, 4), (0, 5), (0, 6), (1, 7), (1, 8),
-                       (2, 3), (2, 9), (3, 9), (2, 5), (2, 6), (3, 7), (3, 8)])
+        # the shared degree-2 vertex 4 has an empty frontier and both its
+        # anchors are recolored within the same record
+        g = ADJACENT_4V_GRAPH
         records = five_reduction_records(g)
         first = records[0]
         assert first.kind == "adjacent-4v"
@@ -415,3 +420,82 @@ class TestDeterminism:
         g = gen_kstar(6)
         assert color_six(g) == color_six(g)
         assert five_reduction_records(gen_kstar(5)) == five_reduction_records(gen_kstar(5))
+
+
+# ---------------------------------------------------------------------------
+# Golden reduction sequences and colorings of the three engines
+
+GOLDEN = Path(__file__).parent / "data" / "reduction_golden.json"
+KINDS = {
+    "leaf", "three-vertex", "adjacent-2", "star", "3v-with-2nbr", "4v-three-2nbrs",
+    "5v-five-2nbrs", "3v-weak-pair", "4v-weak", "adjacent-4v",
+}
+
+
+def golden_corpus():
+    """Seeded subdivided random graphs, 15 in each density band (five, six,
+    eps), then gen_kstar(5..7) and the adjacent-4v graph."""
+    tops = (("five", Fraction(20, 7)), ("six", Fraction(3)), ("eps", Fraction(4)))
+    bands = {name: [] for name, _ in tops}
+    seed = 0
+    while min(map(len, bands.values())) < 15:
+        rng = random.Random(seed)
+        nh = rng.randint(6, 40)
+        h = util.random_graph(rng, nh, rng.randint(3 * nh // 2, 3 * nh))
+        g = util.partial_subdivide(rng, h, rng.choice([0.6, 0.8, 0.9, 1.0]))
+        mad = mad_exact(g).mad
+        band = next((name for name, top in tops if mad < top), None)
+        if band is not None and len(bands[band]) < 15:
+            bands[band].append((f"{band}-seed-{seed}", g))
+        seed += 1
+    corpus = [item for items in bands.values() for item in items]
+    corpus += [(f"kstar-{n}", gen_kstar(n)) for n in (5, 6, 7)]
+    return corpus + [("adjacent-4v", ADJACENT_4V_GRAPH)]
+
+
+def _sha256(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_runs(name, g):
+    """One entry per applicable engine: five, six, eps at 4 - mad and at 1."""
+    mad = mad_exact(g).mad
+    runs = []
+    if mad < Fraction(20, 7):
+        runs.append(("five", None, five_reduction_records(g), color_five(g)))
+    if mad < 3:
+        runs.append(("six", None, six_reduction_records(g), color_six(g)))
+    for eps in sorted({4 - mad, Fraction(1)}):
+        if 0 < eps <= Fraction(8, 5) and mad <= 4 - eps:
+            runs.append(("eps", eps, eps_reduction_records(g, eps), color_eps(g, eps)))
+    entries = []
+    for engine, eps, records, result in runs:
+        canonical = [
+            {"kind": r.kind, "deleted": list(r.deleted), "protect": list(r.protect),
+             "frontier": {str(v): list(f) for v, f in r.frontier.items()}}
+            for r in records
+        ]
+        entries.append({
+            "graph": name, "n": g.n, "m": g.m, "engine": engine,
+            "eps": None if eps is None else str(eps),
+            "kinds": dict(sorted(Counter(r.kind for r in records).items())),
+            "records": _sha256(canonical), "coloring": _sha256(list(result.colors)),
+        })
+    return entries
+
+
+class TestReductionGolden:
+    # recorded before the configurations became a rule table over the
+    # degree-bucket peeler; record sequences and colorings must not change
+    def test_records_and_colorings_unchanged(self):
+        expected = json.loads(GOLDEN.read_text())
+        got = [e for name, g in golden_corpus() for e in golden_runs(name, g)]
+        assert len(got) == len(expected)
+        for entry, want in zip(got, expected):
+            assert entry == want
+
+    def test_corpus_covers_every_kind(self):
+        expected = json.loads(GOLDEN.read_text())
+        seen = set().union(*(e["kinds"] for e in expected))
+        assert seen == KINDS

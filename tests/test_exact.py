@@ -97,6 +97,8 @@ class TestOddChromaticNumber:
             SolveBudget(max_k=0)
         with pytest.raises(ValueError):
             SolveBudget(time_limit=-1.0)
+        with pytest.raises(ValueError):
+            SolveBudget(time_limit=float("nan"))
 
 
 class TestBruteForce:
@@ -142,3 +144,11 @@ class TestDegeneracyOrder:
         # pendant vertex is peeled first, so it lands at the end of the order
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         assert degeneracy_order(g)[-1] == 4
+
+    @pytest.mark.parametrize("name, g", [
+        *((f"cycle-{n}", gen_cycle(n)) for n in (300, 601, 899)),
+        *((f"kstar-{n}", gen_kstar(n)) for n in range(3, 8)),
+        *((f"gnm-{seed}", util.random_graph(random.Random(seed), 22, 104)) for seed in range(6)),
+    ])
+    def test_matches_quadratic_scan(self, name, g):
+        assert degeneracy_order(g) == util.degeneracy_order_by_scan(g)

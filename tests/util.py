@@ -61,6 +61,26 @@ def brute_force_densest_union(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if union >> v & 1)
 
 
+def degeneracy_order_by_scan(g: Graph) -> list[int]:
+    """Smallest-last order by an O(n) minimum-degree scan per removed vertex
+    (ties by lowest index)."""
+    deg = list(g.degrees())
+    alive = [True] * g.n
+    removed = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if alive[v] and (best == -1 or deg[v] < deg[best]):
+                best = v
+        alive[best] = False
+        removed.append(best)
+        for w in g.neighbors(best):
+            if alive[w]:
+                deg[w] -= 1
+    removed.reverse()
+    return removed
+
+
 def odd_coloring_by_definition(g: Graph, cols: list[int]) -> bool:
     """From-scratch quantifier version of the odd-coloring condition."""
     for u, v in g.edges():
