@@ -22,7 +22,6 @@ from . import constructive, exact, sparsity
 from .coloring import coloring_from_json, is_odd_coloring
 from .graph import (
     Graph,
-    GraphParseError,
     gen_cycle,
     gen_cycle_with_leaves,
     gen_kstar,
@@ -52,10 +51,6 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise _UsageError(f"expected an exact rational 'p/q' or integer, got {text!r}")
-
-
-def _rational_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _read_text(path: str | None) -> str:
@@ -121,11 +116,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
             if args.epsilon is None:
                 raise _UsageError("--strategy eps requires --epsilon p/q")
             result = constructive.color_eps(g, parse_rational(args.epsilon))
-    except exact.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except ValueError as exc:
-        # strategy precondition not met (wrong density, not a forest/cycle)
+    except (exact.BudgetExceededError, ValueError) as exc:
+        # budget gone, or strategy precondition not met (wrong density, not a forest/cycle)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     _write_text(args.output, json.dumps(result.to_json_dict()) + "\n")
@@ -155,12 +147,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     try:
         chi, colors = exact.odd_chromatic_number(g, _budget(args))
     except exact.BudgetExceededError:
-        payload = {"chi_o": None, "colors": None, "status": "budget-exceeded"}
-        _write_text(args.output, json.dumps(payload) + "\n")
-        return EXIT_SEMANTIC
-    payload = {"chi_o": chi, "colors": list(colors), "status": "exact"}
+        payload, code = {"chi_o": None, "colors": None, "status": "budget-exceeded"}, EXIT_SEMANTIC
+    else:
+        payload, code = {"chi_o": chi, "colors": list(colors), "status": "exact"}, EXIT_OK
     _write_text(args.output, json.dumps(payload) + "\n")
-    return EXIT_OK
+    return code
 
 
 def _cmd_orient(args: argparse.Namespace) -> int:
@@ -178,14 +169,10 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
-    if kind == "kstar":
+    if kind in ("kstar", "cycle"):
         if len(args.params) != 1:
-            raise _UsageError("usage: gen kstar N")
-        g = gen_kstar(_positive_int(args.params[0]))
-    elif kind == "cycle":
-        if len(args.params) != 1:
-            raise _UsageError("usage: gen cycle N")
-        g = gen_cycle(_positive_int(args.params[0]))
+            raise _UsageError(f"usage: gen {kind} N")
+        g = (gen_kstar if kind == "kstar" else gen_cycle)(_positive_int(args.params[0]))
     elif kind == "cycle-leaves":
         if len(args.params) != 2:
             raise _UsageError("usage: gen cycle-leaves N c1,c2,...")
@@ -284,11 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, GraphParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # malformed values (bad coloring file, out-of-range parameters)
+    except (_UsageError, ValueError) as exc:
+        # also GraphParseError, a bad coloring file, out-of-range parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -50,7 +50,7 @@ from typing import Callable
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
 from .exact import SolveBudget, odd_chromatic_number
-from .graph import Graph, _Peeler, gen_cycle, gen_kstar
+from .graph import Graph, _Peeler, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
 
 
@@ -194,10 +194,12 @@ def _least_charge_star(st: _Peeler, x: Fraction, deg_cap: int) -> ReductionRecor
     centers = st.of_degree(range(4, len(st.bucket)))
     if not centers:
         return None
-    best = min(centers, key=lambda v: st.deg[v] - x * len(_two_neighbors(st, v)))
+    # compare charges scaled by q > 0 (x = p/q) as integers
+    p, q = x.numerator, x.denominator
+    best = min(centers, key=lambda v: q * st.deg[v] - p * len(_two_neighbors(st, v)))
     twos = _two_neighbors(st, best)
-    charge = st.deg[best] - x * len(twos)
-    if charge > 2 + 2 * x:
+    if q * st.deg[best] - p * len(twos) > 2 * q + 2 * p:
+        charge = st.deg[best] - x * len(twos)
         raise ReductionExhaustedError(
             f"selected vertex {best} has charge {charge} > {2 + 2 * x}"
         )
@@ -241,24 +243,23 @@ _EPS_RULES = (
 )
 
 
-def find_reducible_six(g: Graph) -> ReductionRecord:
-    """First reducible configuration of the 6-color engine (mad < 3)."""
+def _find_one(g: Graph, find: _Finder, missing: str) -> ReductionRecord:
     if g.n == 0:
         raise ValueError("graph is empty")
-    rec = _SIX(_Peeler(g))
+    rec = find(_Peeler(g))
     if rec is None:
-        raise ReductionExhaustedError("no 6-color configuration; is mad(G) < 3?")
+        raise ReductionExhaustedError(missing)
     return rec
+
+
+def find_reducible_six(g: Graph) -> ReductionRecord:
+    """First reducible configuration of the 6-color engine (mad < 3)."""
+    return _find_one(g, _SIX, "no 6-color configuration; is mad(G) < 3?")
 
 
 def find_reducible_five(g: Graph) -> ReductionRecord:
     """First reducible configuration of the 5-color engine (mad < 20/7)."""
-    if g.n == 0:
-        raise ValueError("graph is empty")
-    rec = _FIVE(_Peeler(g))
-    if rec is None:
-        raise ReductionExhaustedError("no 5-color configuration; is mad(G) < 20/7?")
-    return rec
+    return _find_one(g, _FIVE, "no 5-color configuration; is mad(G) < 20/7?")
 
 
 def _reduce_all(g: Graph, find: _Finder) -> list[ReductionRecord]:
@@ -447,12 +448,6 @@ def _cycle_pattern(n: int) -> list[int]:
     if n % 3 == 1:
         return [1, 2, 3, 4] + [1, 2, 3] * ((n - 4) // 3)
     return [1, 2, 3, 4, 1, 2, 3, 4] + [1, 2, 3] * ((n - 8) // 3)
-
-
-def color_cycle(n: int) -> ColoringResult:
-    """Optimal odd coloring of the standard n-cycle (vertices in cycle order)."""
-    pattern = _cycle_pattern(n)
-    return _finish(gen_cycle(n), tuple(pattern), cycle_chi(n), "cycle")
 
 
 def color_cycle_graph(g: Graph) -> ColoringResult:

@@ -1,4 +1,4 @@
-"""Exact odd chromatic number by backtracking, plus brute-force oracles.
+"""Exact odd chromatic number by backtracking.
 
 The decision search colors vertices in smallest-last (degeneracy) order and
 enforces two pruning rules: properness at assignment time, and the odd
@@ -10,10 +10,11 @@ symmetry breaking is applied.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
-from .graph import Graph, _Peeler
+from .graph import Graph
 
 
 class BudgetExceededError(Exception):
@@ -68,100 +69,92 @@ class _BudgetClock:
 
 def degeneracy_order(g: Graph) -> list[int]:
     """Smallest-last vertex order: repeatedly remove a minimum-degree vertex
-    (ties by lowest index) and place it at the end."""
-    st = _Peeler(g)
+    (ties by lowest index) and place it at the end.
+
+    Lazy (degree, index) heap: degrees only fall and a removed vertex gets
+    degree -1, so an entry is current exactly when its degree matches.
+    """
+    deg = list(g.degrees())
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     removed = []
-    while st.remaining:
-        v = min(next(b for b in st.bucket if b))
-        removed.append(v)
-        st.delete((v,))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d == deg[v]:
+            removed.append(v)
+            deg[v] = -1
+            for w in g.neighbors(v):
+                if deg[w] > 0:  # alive: an alive neighbor of v has degree >= 1
+                    deg[w] -= 1
+                    heapq.heappush(heap, (deg[w], w))
     removed.reverse()
     return removed
 
 
-class _StopSearch(Exception):
-    pass
+def _odd_search(g: Graph, k: int, clock: _BudgetClock) -> ColorableOutcome:
+    """Depth-first search for an odd k-coloring, as one loop so that no
+    recursion limit applies.
 
-
-class _OddSearch:
-    def __init__(self, g: Graph, k: int, clock: _BudgetClock):
-        self.g = g
-        self.k = k
-        self.clock = clock
-        self.order = degeneracy_order(g)
-        self.color = [0] * g.n
-        # counts[v][c]: colored neighbors of v with color c; odd_size[v]:
-        # number of colors with odd multiplicity on v's colored neighborhood.
-        self.counts = [[0] * (k + 1) for _ in range(g.n)]
-        self.odd_size = [0] * g.n
-        self.uncolored_nbrs = list(g.degrees())
-        self.found: tuple[int, ...] | None = None
-        self.budget_hit = False
-
-    def run(self) -> ColorableOutcome:
-        try:
-            self._extend(0)
-        except _StopSearch:
-            pass
-        if self.found is not None:
-            return ColorableOutcome("yes", self.found, self.clock.nodes)
-        if self.budget_hit:
-            return ColorableOutcome("budget-exceeded", nodes=self.clock.nodes)
-        return ColorableOutcome("no", nodes=self.clock.nodes)
-
-    def _extend(self, idx: int) -> None:
-        if idx == self.g.n:
-            self.found = tuple(self.color)
-            raise _StopSearch  # unwind; found is set
-        v = self.order[idx]
-        counts_v = self.counts[v]
-        candidates = range(1, 2) if idx == 0 else range(1, self.k + 1)
-        for c in candidates:
-            if counts_v[c] != 0:
+    tried[i] is the color last tried at depth i of the order (0: none yet);
+    moving back to a depth first undoes it.  For each vertex w, counts[w][c]
+    counts its colored neighbors of color c, odd_size[w] the colors of odd
+    multiplicity among them and uncolored[w] its uncolored neighbors; a
+    color fails when it leaves some neighborhood complete with no odd class.
+    """
+    n, order = g.n, degeneracy_order(g)
+    counts = [[0] * (k + 1) for _ in range(n)]
+    odd_size = [0] * n
+    uncolored = list(g.degrees())
+    tried = [0] * n
+    idx = 0
+    while idx >= 0:
+        if idx == n:
+            colors = [0] * n
+            for v, c in zip(order, tried):
+                colors[v] = c
+            return ColorableOutcome("yes", tuple(colors), clock.nodes)
+        v = order[idx]
+        nbrs = g.neighbors(v)
+        c = tried[idx]
+        if c:
+            for w in nbrs:
+                cw = counts[w]
+                cw[c] -= 1
+                odd_size[w] += 1 if cw[c] % 2 else -1
+                uncolored[w] += 1
+        counts_v = counts[v]
+        for c in range(c + 1, (k if idx else 1) + 1):
+            if counts_v[c]:
                 continue
-            if not self.clock.spend():
-                self.budget_hit = True
-                raise _StopSearch
-            if self._assign(v, c):
-                self._extend(idx + 1)
-            self._unassign(v, c)
-
-    def _assign(self, v: int, c: int) -> bool:
-        """Color v with c; False if some now-saturated vertex has no odd color."""
-        self.color[v] = c
-        ok = True
-        for w in self.g.neighbors(v):
-            counts = self.counts[w]
-            counts[c] += 1
-            self.odd_size[w] += 1 if counts[c] % 2 == 1 else -1
-            self.uncolored_nbrs[w] -= 1
-            if self.uncolored_nbrs[w] == 0 and self.odd_size[w] == 0:
-                ok = False  # keep updating so _unassign reverses everything
-        return ok
-
-    def _unassign(self, v: int, c: int) -> None:
-        self.color[v] = 0
-        for w in self.g.neighbors(v):
-            counts = self.counts[w]
-            counts[c] -= 1
-            self.odd_size[w] += 1 if counts[c] % 2 == 1 else -1
-            self.uncolored_nbrs[w] += 1
+            if not clock.spend():
+                return ColorableOutcome("budget-exceeded", nodes=clock.nodes)
+            tried[idx] = c
+            ok = True
+            for w in nbrs:
+                cw = counts[w]
+                cw[c] += 1
+                odd_size[w] += 1 if cw[c] % 2 else -1
+                uncolored[w] -= 1
+                if uncolored[w] == 0 and odd_size[w] == 0:
+                    ok = False  # finish the updates: the undo above reverses them all
+            if ok:
+                idx += 1
+            break  # on failure, the undo above runs and the next color follows
+        else:
+            tried[idx] = 0
+            idx -= 1
+    return ColorableOutcome("no", nodes=clock.nodes)
 
 
 def odd_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> ColorableOutcome:
     """Decide whether g admits an odd coloring with k colors."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n == 0:
-        return ColorableOutcome("yes", ())
-    clock = _BudgetClock(budget)
-    return _OddSearch(g, k, clock).run()
+    return _odd_search(g, k, _BudgetClock(budget))
 
 
 def _clique_lower_bound(g: Graph) -> int:
-    """Clique number for small graphs (n <= 20), greedy clique otherwise."""
-    if g.n == 0:
-        return 0
+    """Clique number for small graphs (1 <= n <= 20), greedy clique otherwise."""
     if g.n <= 20:
         best = 1
         order = sorted(range(g.n), key=lambda v: -g.degree(v))
@@ -200,103 +193,14 @@ def odd_chromatic_number(
         return 0, ()
     budget = budget or SolveBudget()
     clock = _BudgetClock(budget)
-    k = max(1, _clique_lower_bound(g))
+    k = _clique_lower_bound(g)
     while True:
         if budget.max_k is not None and k > budget.max_k:
             raise BudgetExceededError(f"no odd coloring with at most {budget.max_k} colors found")
-        outcome = _OddSearch(g, k, clock).run()
+        outcome = _odd_search(g, k, clock)
         if outcome.status == "yes":
             assert outcome.coloring is not None
             return k, outcome.coloring
         if outcome.status == "budget-exceeded":
             raise BudgetExceededError(f"budget exhausted while testing k={k}")
         k += 1
-
-
-def brute_force_odd_chromatic(g: Graph) -> int:
-    """Oracle: minimal k whose exhaustive assignment enumeration contains an
-    odd coloring.  Guarded to n <= 8 and k <= 6."""
-    if not 0 <= g.n <= 8:
-        raise ValueError("brute force is guarded to n <= 8")
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-
-    def valid(cols: list[int]) -> bool:
-        for v in range(g.n):
-            if not nbrs[v]:
-                continue
-            counts: dict[int, int] = {}
-            for w in nbrs[v]:
-                counts[cols[w]] = counts.get(cols[w], 0) + 1
-            if not any(c % 2 == 1 for c in counts.values()):
-                return False
-        return True
-
-    def exists(k: int) -> bool:
-        cols = [0] * g.n
-
-        def rec(v: int) -> bool:
-            if v == g.n:
-                return valid(cols)
-            for c in range(1, k + 1):
-                if any(cols[w] == c for w in nbrs[v] if w < v):
-                    continue  # properness pruning only; odd check at leaves
-                cols[v] = c
-                if rec(v + 1):
-                    return True
-            cols[v] = 0
-            return False
-
-        return rec(0)
-
-    for k in range(1, min(g.n, 6) + 1):
-        if exists(k):
-            return k
-    raise ValueError("brute force is guarded to chromatic values <= 6")
-
-
-def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> int:
-    """Exact proper chromatic number by backtracking (guarded to n <= 12)."""
-    if g.n > 12:
-        raise ValueError("chromatic_number is guarded to n <= 12")
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    budget = budget or SolveBudget()
-    clock = _BudgetClock(budget)
-    order = degeneracy_order(g)
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    color = [0] * g.n
-
-    def exists(k: int) -> bool:
-        def rec(idx: int) -> bool:
-            if idx == g.n:
-                return True
-            v = order[idx]
-            top = 1 if idx == 0 else k
-            for c in range(1, top + 1):
-                if not clock.spend():
-                    raise BudgetExceededError("budget exhausted")
-                if any(color[w] == c for w in nbrs[v]):
-                    continue
-                color[v] = c
-                if rec(idx + 1):
-                    return True
-                color[v] = 0
-            return False
-
-        result = rec(0)
-        for v in range(g.n):
-            color[v] = 0
-        return result
-
-    k = max(1, _clique_lower_bound(g))
-    while k <= g.n:
-        if exists(k):
-            return k
-        k += 1
-    raise RuntimeError("n colors always suffice")  # pragma: no cover

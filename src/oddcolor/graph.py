@@ -8,7 +8,6 @@ DIMACS ("p edge n m" header, then "e u v" lines, 1-based).
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -298,17 +297,6 @@ def girth(g: Graph) -> int | None:
                     if best is None or cand < best:
                         best = cand
     return best
-
-
-def girth_mad_bound(g: int) -> Fraction:
-    """Density ceiling 2g/(g-2) implied by girth g in the planar setting.
-
-    A planar graph with girth at least g has maximum average degree
-    strictly below this value (the caller is responsible for planarity).
-    """
-    if g < 3:
-        raise ValueError("girth bound requires g >= 3")
-    return Fraction(2 * g, g - 2)
 
 
 # ---------------------------------------------------------------------------

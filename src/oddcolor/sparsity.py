@@ -12,9 +12,10 @@ and arcs of capacity q both ways across every edge.  A minimum cut then
 equals q*(m*n) - 2*max_S (q*|E(S)| - p*|S|), so the cut is strictly below
 the all-source-arcs value exactly when some vertex set S has density above
 d, and the source side of the canonical (minimal) min cut is such an S.
-That one flow answers every threshold question here; the exact mad is a
-Dinkelbach (1967) iteration of it that jumps from each found set's density
-to the next.
+That one flow answers every threshold question here; when it saturates
+the source arcs, its edge flows are a fractional orientation with every
+indegree at most d (Hakimi 1965).  The exact mad is a Dinkelbach (1967)
+iteration of it that jumps from each found set's density to the next.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class FractionalOrientation:
     weights: dict[tuple[int, int], Fraction]
     indegree: tuple[Fraction, ...]
 
-    def weight_into(self, u: int, v: int) -> Fraction:
-        """Weight of edge {u, v} oriented into v."""
-        if u < v:
-            return self.weights[(u, v)]
-        return 1 - self.weights[(v, u)]
-
 
 @dataclass(frozen=True)
 class MadDecision:
@@ -79,8 +74,8 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, c: int) -> int:
-        """Add arc u->v with capacity c; returns the arc id."""
+    def add_edge(self, u: int, v: int, c: int) -> None:
+        """Add arc u->v with capacity c (id len(to)) and its residual twin."""
         eid = len(self.to)
         self.head[u].append(eid)
         self.to.append(v)
@@ -88,7 +83,6 @@ class _Dinic:
         self.head[v].append(eid + 1)
         self.to.append(u)
         self.cap.append(0)
-        return eid
 
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
@@ -161,11 +155,14 @@ class _Dinic:
         return seen
 
 
-def _denser_subgraph(g: Graph, d: Fraction) -> list[int] | None:
-    """Vertex set with density strictly above d, or None if none exists.
+def _goldberg(g: Graph, d: Fraction) -> tuple[_Dinic, bool]:
+    """Goldberg's network at density d after a max flow, and whether the flow
+    saturates every source arc (then no vertex set is denser than d).
 
-    The one flow primitive behind every density decision in this module; it
-    rejects the empty graph and a negative threshold.
+    The one flow network of this module; it rejects the empty graph and a
+    negative threshold.  Arc ids are fixed by construction: four per vertex
+    (source arc, sink arc), then four per edge, so edge i's arc u->v has id
+    4n + 4i and its arc v->u id 4n + 4i + 2.
     """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
@@ -181,14 +178,43 @@ def _denser_subgraph(g: Graph, d: Fraction) -> list[int] | None:
     for u, v in g.edges():
         net.add_edge(u + 1, v + 1, q)
         net.add_edge(v + 1, u + 1, q)
-    flow = net.max_flow(s, t)
-    if flow == m * n * q:
-        return None
-    side = net.source_side(s)
+    return net, net.max_flow(s, t) == m * n * q
+
+
+def _source_vertices(net: _Dinic, n: int) -> list[int]:
+    """Vertices on the source side of the minimal min cut of an unsaturated
+    Goldberg network: a set denser than its threshold."""
+    side = net.source_side(0)
     chosen = sorted(v for v in range(n) if v + 1 in side)
     if not chosen:
         raise RuntimeError("min cut below saturation must expose a vertex set")
     return chosen
+
+
+def _orientation(g: Graph, net: _Dinic, d: Fraction) -> FractionalOrientation:
+    """Read a fractional orientation off a saturated Goldberg network at d.
+
+    With d = p/q, the net flow f on edge u->v lies in [-q, q]; orient
+    (q + f) / 2q of the edge into v.  Every source arc is full, so the net
+    edge inflow of v is at most its sink capacity minus m*q, which is
+    2p - q*deg(v); hence every indegree is at most p/q = d (Hakimi 1965).
+    """
+    q = d.denominator
+    indeg = [0] * g.n  # in units of 1/2q
+    weights: dict[tuple[int, int], Fraction] = {}
+    for i, (u, v) in enumerate(g.edges()):
+        arc = 4 * g.n + 4 * i
+        into_v = q + net.flow_on(arc) - net.flow_on(arc + 2)
+        weights[(u, v)] = Fraction(into_v, 2 * q)
+        indeg[v] += into_v
+        indeg[u] += 2 * q - into_v
+    return FractionalOrientation(weights, tuple(Fraction(x, 2 * q) for x in indeg))
+
+
+def _denser_subgraph(g: Graph, d: Fraction) -> list[int] | None:
+    """Vertex set with density strictly above d, or None if none exists."""
+    net, saturated = _goldberg(g, d)
+    return None if saturated else _source_vertices(net, g.n)
 
 
 def subset_density(g: Graph, vertices: Iterable[int]) -> Fraction:
@@ -245,18 +271,16 @@ def mad_at_most(g: Graph, alpha: Fraction | int) -> bool:
 
 
 def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
-    """Decide mad(G) <= alpha; certify either answer.
+    """Decide mad(G) <= alpha with one flow; certify either answer.
 
     True comes with a fractional orientation of maximum indegree alpha/2;
     false comes with a vertex set of density above alpha/2.
     """
-    alpha = Fraction(alpha)
-    found = _denser_subgraph(g, alpha / 2)
-    if found is None:
-        orient = fractional_orientation(g, alpha)
-        if orient is None:
-            raise RuntimeError("orientation must exist when no denser subgraph does")
-        return MadDecision(True, orient)
+    d = Fraction(alpha) / 2
+    net, saturated = _goldberg(g, d)
+    if saturated:
+        return MadDecision(True, _orientation(g, net, d))
+    found = _source_vertices(net, g.n)
     return MadDecision(
         False,
         counterexample=tuple(found),
@@ -267,64 +291,17 @@ def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
 def fractional_orientation(g: Graph, alpha: Fraction | int) -> FractionalOrientation | None:
     """Orient each edge fractionally so every indegree is at most alpha/2.
 
-    Feasible exactly when mad(G) <= alpha.  Solved as a flow problem with
-    one node per edge: the source supplies each edge node 2q units (alpha
-    = p/q), edge nodes forward to their endpoints, and each vertex passes
-    at most p units to the sink; the orientation weight toward an endpoint
-    is the flow it received divided by 2q.  Returns None when infeasible.
+    Feasible exactly when mad(G) <= alpha, which is when the flow on
+    Goldberg's network at alpha/2 saturates; the weights are read off that
+    flow.  Returns None when infeasible.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    edge_list = list(g.edges())
-    n, m = g.n, len(edge_list)
-    if m == 0:
-        return FractionalOrientation({}, (Fraction(0),) * n)
-    p, q = alpha.numerator, alpha.denominator
-    scale = 2 * q
-    s = 0
-    t = 1 + m + n
-    net = _Dinic(m + n + 2)
-    supply_arcs = []
-    half_arcs = []
-    for i, (u, v) in enumerate(edge_list):
-        supply_arcs.append(net.add_edge(s, 1 + i, scale))
-        a_u = net.add_edge(1 + i, 1 + m + u, scale)
-        a_v = net.add_edge(1 + i, 1 + m + v, scale)
-        half_arcs.append((a_u, a_v))
-    sink_arcs = [net.add_edge(1 + m + v, t, p) for v in range(n)]
-    flow = net.max_flow(s, t)
-    if flow != scale * m:
-        return None
-    weights: dict[tuple[int, int], Fraction] = {}
-    for i, (u, v) in enumerate(edge_list):
-        into_v = Fraction(net.flow_on(half_arcs[i][1]), scale)
-        weights[(u, v)] = into_v
-    indeg = tuple(Fraction(net.flow_on(sink_arcs[v]), scale) for v in range(n))
-    return FractionalOrientation(weights, indeg)
-
-
-def brute_force_mad(g: Graph) -> Fraction:
-    """Oracle: maximize 2|E(G[S])|/|S| over all non-empty vertex subsets."""
-    if not 1 <= g.n <= 20:
-        raise ValueError("brute-force mad is guarded to 1 <= n <= 20")
-    masks = [0] * g.n
-    for u, v in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    best_e, best_s = 0, 1
-    for sub in range(1, 1 << g.n):
-        e = 0
-        rest = sub
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            e += (masks[v] & sub & (low - 1)).bit_count()
-        size = sub.bit_count()
-        if e * best_s > best_e * size:
-            best_e, best_s = e, size
-    return Fraction(2 * best_e, best_s)
+    if g.m == 0:
+        return FractionalOrientation({}, (Fraction(0),) * g.n)
+    net, saturated = _goldberg(g, alpha / 2)
+    return _orientation(g, net, alpha / 2) if saturated else None
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ class TestExact:
         payload = json.loads(proc.stdout)
         assert payload["status"] == "budget-exceeded" and payload["chi_o"] is None
 
+    def test_long_cycle(self):
+        # one search level per vertex: deeper than the default recursion limit
+        payload = json.loads(chain(["gen", "cycle", "1200"], ["exact"]))
+        assert payload["chi_o"] == 3 and payload["status"] == "exact"
+
     @pytest.mark.parametrize("command", ["exact", "color"])
     def test_nan_timeout_is_usage_error(self, command):
         graph = chain(["gen", "cycle", "5"])
@@ -238,6 +243,10 @@ class TestOrient:
         graph = chain(["gen", "kstar", "6"])
         proc = run(["orient", "--alpha", "20/7"], stdin=graph)
         assert proc.returncode == 0
+
+    def test_edgeless(self):
+        proc = run(["orient", "--alpha", "1"], stdin="0 0\n")
+        assert proc.returncode == 0 and proc.stdout == ""
 
 
 class TestErrorsAndDeterminism:

@@ -10,10 +10,8 @@ import pytest
 from oddcolor import (
     SolveBudget,
     UnsupportedDensityError,
-    brute_force_odd_chromatic,
     classify_small,
     color_auto,
-    color_cycle,
     color_cycle_graph,
     color_eps,
     color_five,
@@ -56,7 +54,7 @@ class TestColorForest:
     def test_path_four_is_tight(self):
         result = color_forest(gen_path(4))
         assert_valid(gen_path(4), result)
-        assert result.k_used == 3 == brute_force_odd_chromatic(gen_path(4))
+        assert result.k_used == 3 == util.brute_force_odd_chromatic(gen_path(4))
 
     def test_single_vertex(self):
         result = color_forest(Graph(1, []))
@@ -83,18 +81,18 @@ class TestColorForest:
 class TestColorCycle:
     @pytest.mark.parametrize("n", range(3, 31))
     def test_patterns(self, n):
-        result = color_cycle(n)
+        result = color_cycle_graph(gen_cycle(n))
         assert_valid(gen_cycle(n), result)
         assert result.k_used == result.bound == cycle_chi(n)
 
     def test_known_patterns(self):
-        assert color_cycle(6).colors == (1, 2, 3, 1, 2, 3)
-        assert color_cycle(5).colors == (1, 2, 3, 4, 5)
-        assert color_cycle(7).colors == (1, 2, 3, 4, 1, 2, 3)
+        assert color_cycle_graph(gen_cycle(6)).colors == (1, 2, 3, 1, 2, 3)
+        assert color_cycle_graph(gen_cycle(5)).colors == (1, 2, 3, 4, 5)
+        assert color_cycle_graph(gen_cycle(7)).colors == (1, 2, 3, 4, 1, 2, 3)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            color_cycle(2)
+            color_cycle_graph(gen_cycle(2))
 
     def test_relabelled_cycle_graph(self):
         rng = random.Random(79)
@@ -129,7 +127,7 @@ class TestClassifySmall:
         for _ in range(120):
             n = rng.randint(1, 6)
             g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-            truth = brute_force_odd_chromatic(g)
+            truth = util.brute_force_odd_chromatic(g)
             result = classify_small(g)
             if truth <= 2:
                 assert result is not None and result.k_used == truth

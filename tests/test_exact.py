@@ -4,10 +4,9 @@ import pytest
 
 from oddcolor import (
     BudgetExceededError,
+    ColorableOutcome,
     Graph,
     SolveBudget,
-    brute_force_odd_chromatic,
-    chromatic_number,
     degeneracy_order,
     gen_complete,
     gen_cycle,
@@ -33,6 +32,10 @@ class TestOddColorable:
 
     def test_six_cycle_three_colors(self):
         assert odd_colorable(gen_cycle(6), 3).status == "yes"
+
+    def test_empty_graph(self):
+        assert odd_colorable(Graph(0, []), 1) == ColorableOutcome("yes", (), 0)
+        assert odd_chromatic_number(Graph(0, [])) == (0, ())
 
     def test_kstar_four(self):
         assert odd_colorable(gen_kstar(4), 3).status == "no"
@@ -84,13 +87,17 @@ class TestOddChromaticNumber:
             n = rng.randint(1, 6)
             g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
             k, witness = odd_chromatic_number(g)
-            assert k == brute_force_odd_chromatic(g)
+            assert k == util.brute_force_odd_chromatic(g)
             if n:
                 assert is_odd_coloring(g, witness)[0]
 
     def test_max_k_budget(self):
         with pytest.raises(BudgetExceededError):
             odd_chromatic_number(gen_cycle(5), SolveBudget(max_k=3))
+
+    def test_long_cycle(self):
+        # the search goes one level per vertex, 2000 levels deep
+        assert odd_chromatic_number(gen_cycle(2000))[0] == 4
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -103,26 +110,26 @@ class TestOddChromaticNumber:
 
 class TestBruteForce:
     def test_examples(self):
-        assert brute_force_odd_chromatic(gen_path(4)) == 3
-        assert brute_force_odd_chromatic(gen_complete(2)) == 2
-        assert brute_force_odd_chromatic(Graph(3, [])) == 1
+        assert util.brute_force_odd_chromatic(gen_path(4)) == 3
+        assert util.brute_force_odd_chromatic(gen_complete(2)) == 2
+        assert util.brute_force_odd_chromatic(Graph(3, [])) == 1
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_odd_chromatic(gen_path(9))
+            util.brute_force_odd_chromatic(gen_path(9))
         with pytest.raises(ValueError, match="<= 6"):
-            brute_force_odd_chromatic(gen_complete(7))
+            util.brute_force_odd_chromatic(gen_complete(7))
 
 
 class TestChromaticNumber:
     def test_examples(self):
-        assert chromatic_number(gen_cycle(5)) == 3
-        assert chromatic_number(gen_complete(4)) == 4
-        assert chromatic_number(util.petersen()) == 3
+        assert util.chromatic_number(gen_cycle(5)) == 3
+        assert util.chromatic_number(gen_complete(4)) == 4
+        assert util.chromatic_number(util.petersen()) == 3
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            chromatic_number(gen_path(13))
+            util.chromatic_number(gen_path(13))
 
     def test_subdivision_lower_bound(self):
         rng = random.Random(71)
@@ -130,7 +137,7 @@ class TestChromaticNumber:
             n = rng.randint(1, 6)
             h = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
             k, _ = odd_chromatic_number(subdivide(h))
-            assert k >= chromatic_number(h)
+            assert k >= util.chromatic_number(h)
 
 
 class TestDegeneracyOrder:
@@ -149,6 +156,10 @@ class TestDegeneracyOrder:
         *((f"cycle-{n}", gen_cycle(n)) for n in (300, 601, 899)),
         *((f"kstar-{n}", gen_kstar(n)) for n in range(3, 8)),
         *((f"gnm-{seed}", util.random_graph(random.Random(seed), 22, 104)) for seed in range(6)),
+        # every vertex ties at the minimum degree
+        *((f"triangles-{t}", Graph(3 * t, [(3 * i + a, 3 * i + b) for i in range(t)
+                                           for a, b in ((0, 1), (1, 2), (0, 2))]))
+          for t in (1, 40, 400)),
     ])
     def test_matches_quadratic_scan(self, name, g):
         assert degeneracy_order(g) == util.degeneracy_order_by_scan(g)

@@ -1,12 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from oddcolor import (
     Graph,
     GraphParseError,
-    brute_force_mad,
     gen_complete,
     gen_cycle,
     gen_cycle_with_leaves,
@@ -14,7 +12,6 @@ from oddcolor import (
     gen_path,
     gen_star,
     girth,
-    girth_mad_bound,
     parse_dimacs,
     parse_edgelist,
     parse_graph,
@@ -133,17 +130,6 @@ class TestGirth:
             assert girth(g) == util.brute_force_girth(g), to_edgelist(g)
 
 
-class TestGirthMadBound:
-    def test_values(self):
-        assert girth_mad_bound(6) == 3
-        assert girth_mad_bound(7) == Fraction(14, 5)
-        assert girth_mad_bound(3) == 6
-
-    def test_requires_g3(self):
-        with pytest.raises(ValueError):
-            girth_mad_bound(2)
-
-
 class TestGenerators:
     def test_kstar_counts(self):
         g = gen_kstar(4)
@@ -198,7 +184,7 @@ class TestGenerators:
 
         g = gen_cycle_with_leaves(9, (2, 0, 0))
         assert g.n == 11
-        assert brute_force_mad(g) == 2
+        assert util.brute_force_mad(g) == 2
 
     def test_cycle_with_leaves_errors(self):
         with pytest.raises(ValueError, match="multiple of 3"):

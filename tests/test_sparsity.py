@@ -5,7 +5,6 @@ import pytest
 
 from oddcolor import (
     Graph,
-    brute_force_mad,
     format_mad_report,
     format_orientation_report,
     fractional_orientation,
@@ -19,6 +18,7 @@ from oddcolor import (
     mad_exact,
     subset_density,
 )
+from oddcolor import sparsity
 
 import util
 
@@ -56,7 +56,7 @@ class TestMadExact:
         for _ in range(60):
             n = rng.randint(1, 12)
             g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-            assert mad_exact(g).mad == brute_force_mad(g)
+            assert mad_exact(g).mad == util.brute_force_mad(g)
 
     def test_witness_is_union_of_densest_sets(self):
         rng = random.Random(31)
@@ -93,6 +93,17 @@ class TestMadDecide:
             decision = mad_decide(g, alpha)
             assert decision.holds
             assert max(decision.orientation.indegree) <= alpha / 2
+
+    @pytest.mark.parametrize("alpha", [2, Fraction(20, 7), 3])
+    def test_one_flow(self, monkeypatch, alpha):
+        # both certificates come from the same flow on Goldberg's network
+        calls = []
+        flow = sparsity._Dinic.max_flow
+        monkeypatch.setattr(
+            sparsity._Dinic, "max_flow", lambda *a: calls.append(a) or flow(*a)
+        )
+        decision = mad_decide(gen_kstar(6), alpha)
+        assert decision.holds == (alpha >= Fraction(20, 7)) and len(calls) == 1
 
 
 class TestMadBelow:
@@ -155,19 +166,19 @@ class TestFractionalOrientation:
 class TestBruteForceMad:
     def test_complete_four_with_pendant(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-        assert brute_force_mad(g) == 3
+        assert util.brute_force_mad(g) == 3
 
     def test_path_four(self):
-        assert brute_force_mad(gen_path(4)) == Fraction(3, 2)
+        assert util.brute_force_mad(gen_path(4)) == Fraction(3, 2)
 
     def test_cycle(self):
-        assert brute_force_mad(gen_cycle(6)) == 2
+        assert util.brute_force_mad(gen_cycle(6)) == 2
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_mad(Graph(0, []))
+            util.brute_force_mad(Graph(0, []))
         with pytest.raises(ValueError):
-            brute_force_mad(Graph(21, []))
+            util.brute_force_mad(Graph(21, []))
 
 
 class TestReports:

@@ -61,6 +61,84 @@ def brute_force_densest_union(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if union >> v & 1)
 
 
+def brute_force_mad(g: Graph) -> Fraction:
+    """Maximize 2|E(G[S])|/|S| over all non-empty vertex subsets (n <= 20)."""
+    if not 1 <= g.n <= 20:
+        raise ValueError("brute-force mad is guarded to 1 <= n <= 20")
+    masks = [0] * g.n
+    for u, v in g.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    best_e, best_s = 0, 1
+    for sub in range(1, 1 << g.n):
+        e = 0
+        rest = sub
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            e += (masks[v] & sub & (low - 1)).bit_count()
+        size = sub.bit_count()
+        if e * best_s > best_e * size:
+            best_e, best_s = e, size
+    return Fraction(2 * best_e, best_s)
+
+
+def brute_force_odd_chromatic(g: Graph) -> int:
+    """Least k for which enumerating proper k-colorings finds an odd one.
+    Guarded to n <= 8 and k <= 6."""
+    if not 0 <= g.n <= 8:
+        raise ValueError("brute force is guarded to n <= 8")
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+
+    def exists(k: int) -> bool:
+        cols = [0] * g.n
+
+        def rec(v: int) -> bool:
+            if v == g.n:
+                return odd_coloring_by_definition(g, cols)
+            for c in range(1, k + 1):
+                if any(cols[w] == c for w in nbrs[v] if w < v):
+                    continue  # properness pruning only; odd check at leaves
+                cols[v] = c
+                if rec(v + 1):
+                    return True
+            cols[v] = 0
+            return False
+
+        return rec(0)
+
+    for k in range(1, min(g.n, 6) + 1):
+        if exists(k):
+            return k
+    raise ValueError("brute force is guarded to chromatic values <= 6")
+
+
+def chromatic_number(g: Graph) -> int:
+    """Proper chromatic number by plain backtracking in index order (n <= 12)."""
+    if g.n > 12:
+        raise ValueError("chromatic_number is guarded to n <= 12")
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    cols = [0] * g.n
+
+    def rec(v: int, k: int) -> bool:
+        if v == g.n:
+            return True
+        for c in range(1, k + 1):
+            if all(cols[w] != c for w in nbrs[v]):
+                cols[v] = c
+                if rec(v + 1, k):
+                    return True
+        cols[v] = 0
+        return False
+
+    return next(k for k in range(g.n + 1) if rec(0, k))
+
+
 def degeneracy_order_by_scan(g: Graph) -> list[int]:
     """Smallest-last order by an O(n) minimum-degree scan per removed vertex
     (ties by lowest index)."""
