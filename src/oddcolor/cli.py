@@ -7,7 +7,8 @@ through stdin/stdout (or -i/-o paths) so commands compose with pipes, e.g.
     oddcolor gen cycle 9 | oddcolor color --strategy auto | ...
 
 Exit codes: 0 success; 1 semantic failure (invalid coloring, infeasible
-orientation, unsupported density); 2 parse or usage error.  Rational
+orientation, unsupported density) or an internal error, reported on one
+line; 2 parse or usage error, including a graph above MAX_VERTICES.  Rational
 options are exact "p/q" strings or integers; decimals are rejected.
 """
 
@@ -19,8 +20,9 @@ import sys
 from fractions import Fraction
 
 from . import constructive, exact, sparsity
-from .coloring import coloring_from_json, is_odd_coloring
+from .coloring import coloring_from_json, coloring_to_json, is_odd_coloring
 from .graph import (
+    MAX_VERTICES,
     Graph,
     gen_cycle,
     gen_cycle_with_leaves,
@@ -120,7 +122,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
         # budget gone, or strategy precondition not met (wrong density, not a forest/cycle)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    _write_text(args.output, json.dumps(result.to_json_dict()) + "\n")
+    _write_text(args.output, coloring_to_json(
+        result.colors, result.k_used, strategy=result.strategy, bound=result.bound) + "\n")
     return EXIT_OK
 
 
@@ -172,7 +175,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if kind in ("kstar", "cycle"):
         if len(args.params) != 1:
             raise _UsageError(f"usage: gen {kind} N")
-        g = (gen_kstar if kind == "kstar" else gen_cycle)(_positive_int(args.params[0]))
+        n = _positive_int(args.params[0])
+        _check_size(n * (n + 1) // 2 if kind == "kstar" else n)
+        g = (gen_kstar if kind == "kstar" else gen_cycle)(n)
     elif kind == "cycle-leaves":
         if len(args.params) != 2:
             raise _UsageError("usage: gen cycle-leaves N c1,c2,...")
@@ -181,6 +186,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             counts = [int(c) for c in args.params[1].split(",")]
         except ValueError:
             raise _UsageError(f"bad leaf counts {args.params[1]!r}") from None
+        _check_size(n + sum(c for c in counts if c > 0))
         try:
             g = gen_cycle_with_leaves(n, counts)
         except ValueError as exc:
@@ -193,6 +199,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError(f"unknown generator {kind!r}")
     _write_text(args.output, serialize_graph(g, args.format))
     return EXIT_OK
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise _UsageError(f"the graph would have {n} vertices; the limit is {MAX_VERTICES}")
 
 
 def _positive_int(text: str) -> int:
@@ -275,6 +286,11 @@ def main(argv: list[str] | None = None) -> int:
         # also GraphParseError, a bad coloring file, out-of-range parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # ReductionExhaustedError, PaletteExhaustedError, a failed self-check:
+        # a bug under a verified precondition, reported without a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
     except BrokenPipeError:
         return EXIT_OK
 

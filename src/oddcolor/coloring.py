@@ -72,17 +72,6 @@ class PartialColoring:
             if self.color[w] == c:
                 raise ValueError(f"color {c} on {v} clashes with neighbor {w}")
         self.color[v] = c
-        self._flip(v, c)
-
-    def unassign(self, v: int) -> None:
-        c = self.color[v]
-        if c == 0:
-            raise ValueError(f"vertex {v} is not colored")
-        self.color[v] = 0
-        self._flip(v, c)
-
-    def _flip(self, v: int, c: int) -> None:
-        """Toggle the parity of color c on every neighbor of v."""
         for w in self.graph.neighbors(v):
             odd = self._odd[w]
             if c in odd:
@@ -153,7 +142,7 @@ def coloring_to_json(colors: Iterable[int], k: int, **extra: object) -> str:
 def coloring_from_json(text: str) -> tuple[int, list[int]]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ValueError(f"invalid coloring JSON: {exc}") from None
     if not isinstance(payload, dict) or "k" not in payload or "colors" not in payload:
         raise ValueError('coloring JSON must be an object with "k" and "colors"')

@@ -88,14 +88,6 @@ class ColoringResult:
     bound: int
     strategy: str
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "k": self.k_used,
-            "colors": list(self.colors),
-            "strategy": self.strategy,
-            "bound": self.bound,
-        }
-
 
 _Finder = Callable[[_Peeler], ReductionRecord | None]
 _Match = Callable[[_Peeler, int], ReductionRecord | None]
@@ -243,25 +235,6 @@ _EPS_RULES = (
 )
 
 
-def _find_one(g: Graph, find: _Finder, missing: str) -> ReductionRecord:
-    if g.n == 0:
-        raise ValueError("graph is empty")
-    rec = find(_Peeler(g))
-    if rec is None:
-        raise ReductionExhaustedError(missing)
-    return rec
-
-
-def find_reducible_six(g: Graph) -> ReductionRecord:
-    """First reducible configuration of the 6-color engine (mad < 3)."""
-    return _find_one(g, _SIX, "no 6-color configuration; is mad(G) < 3?")
-
-
-def find_reducible_five(g: Graph) -> ReductionRecord:
-    """First reducible configuration of the 5-color engine (mad < 20/7)."""
-    return _find_one(g, _FIVE, "no 5-color configuration; is mad(G) < 20/7?")
-
-
 def _reduce_all(g: Graph, find: _Finder) -> list[ReductionRecord]:
     st = _Peeler(g)
     records = []
@@ -381,12 +354,12 @@ def _reduce_and_replay(g: Graph, find: _Finder, k: int, strategy: str) -> Colori
 
 
 def _finish(g: Graph, colors: tuple[int, ...], bound: int, strategy: str) -> ColoringResult:
-    ok, violations = is_odd_coloring(g, colors) if g.n else (True, [])
+    ok, violations = is_odd_coloring(g, colors)
     if not ok:
-        raise RuntimeError(f"internal: invalid coloring produced ({violations[:3]})")
+        raise RuntimeError(f"invalid coloring produced ({violations[:3]})")
     k_used = max(colors, default=0)
     if k_used > bound:
-        raise RuntimeError(f"internal: used {k_used} colors, bound is {bound}")
+        raise RuntimeError(f"used {k_used} colors, bound is {bound}")
     return ColoringResult(colors, k_used, bound, strategy)
 
 
@@ -452,7 +425,7 @@ def _cycle_pattern(n: int) -> list[int]:
 
 def color_cycle_graph(g: Graph) -> ColoringResult:
     """Optimal odd coloring of a graph that is a single cycle."""
-    if g.n < 3 or any(d != 2 for d in g.degrees()) or len(g.components()) != 1:
+    if not g.is_cycle():
         raise ValueError("graph is not a single cycle")
     walk = [0, min(g.neighbors(0))]
     while len(walk) < g.n:
@@ -492,8 +465,6 @@ def color_eps(g: Graph, eps: Fraction | int) -> ColoringResult:
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(8, 5):
         raise ValueError("eps must satisfy 0 < eps <= 8/5")
-    if g.n == 0:
-        raise ValueError("graph is empty")
     if not mad_at_most(g, 4 - eps):
         raise ValueError(f"mad(G) exceeds 4 - eps = {4 - eps}")
     return _reduce_and_replay(g, *_eps_engine(eps), "eps")
@@ -501,8 +472,6 @@ def color_eps(g: Graph, eps: Fraction | int) -> ColoringResult:
 
 def color_six(g: Graph) -> ColoringResult:
     """Odd coloring with at most 6 colors for graphs of mad < 3."""
-    if g.n == 0:
-        raise ValueError("graph is empty")
     if not mad_below(g, 3):
         raise ValueError("color_six requires mad(G) < 3")
     return _reduce_and_replay(g, _SIX, 6, "six")
@@ -510,8 +479,6 @@ def color_six(g: Graph) -> ColoringResult:
 
 def color_five(g: Graph) -> ColoringResult:
     """Odd coloring with at most 5 colors for graphs of mad < 20/7."""
-    if g.n == 0:
-        raise ValueError("graph is empty")
     if not mad_below(g, Fraction(20, 7)):
         raise ValueError("color_five requires mad(G) < 20/7")
     return _reduce_and_replay(g, _FIVE, 5, "five")
@@ -531,7 +498,7 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return result
     if g.is_forest():
         return color_forest(g)
-    if g.n >= 3 and all(d == 2 for d in g.degrees()) and len(g.components()) == 1:
+    if g.is_cycle():
         return color_cycle_graph(g)
     mad = mad_exact(g).mad
     if mad < Fraction(20, 7):

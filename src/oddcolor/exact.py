@@ -154,22 +154,7 @@ def odd_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> Colora
 
 
 def _clique_lower_bound(g: Graph) -> int:
-    """Clique number for small graphs (1 <= n <= 20), greedy clique otherwise."""
-    if g.n <= 20:
-        best = 1
-        order = sorted(range(g.n), key=lambda v: -g.degree(v))
-        adj = [set(g.neighbors(v)) for v in range(g.n)]
-
-        def grow(clique: list[int], cands: list[int]) -> None:
-            nonlocal best
-            best = max(best, len(clique))
-            for i, v in enumerate(cands):
-                if len(clique) + len(cands) - i <= best:
-                    return
-                grow(clique + [v], [w for w in cands[i + 1 :] if w in adj[v]])
-
-        grow([], order)
-        return best
+    """Size of the largest clique grown greedily from any one vertex."""
     best = 1
     for v in range(g.n):
         clique = [v]
@@ -185,7 +170,7 @@ def odd_chromatic_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest k admitting an odd coloring, with a witness coloring.
 
-    Searches k upward from a clique-number lower bound; k = n always
+    Searches k upward from a greedy clique lower bound; k = n always
     succeeds (all-distinct colors are an odd coloring).  Raises
     BudgetExceededError if the budget runs out before certainty.
     """

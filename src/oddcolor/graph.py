@@ -11,6 +11,8 @@ from collections import deque
 from itertools import chain
 from typing import Iterable, Iterator
 
+MAX_VERTICES = 10**6  # largest n a parsed header or a CLI generator may ask for
+
 
 class GraphParseError(ValueError):
     """Malformed graph text input."""
@@ -106,6 +108,10 @@ class Graph:
     def is_forest(self) -> bool:
         return self.m == self.n - len(self.components())
 
+    def is_cycle(self) -> bool:
+        """True when the graph is a single cycle: every degree 2, connected."""
+        return all(len(nb) == 2 for nb in self._adj) and len(self.components()) == 1
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -184,15 +190,7 @@ def parse_edgelist(text: str) -> Graph:
             header = (a, b)
         else:
             edges.append((a, b))
-    if header is None:
-        raise GraphParseError("missing 'n m' header line")
-    n, m = header
-    if len(edges) != m:
-        raise GraphParseError(f"header promises {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise GraphParseError(str(exc)) from None
+    return _graph_from(header, edges, "missing 'n m' header line")
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -227,9 +225,18 @@ def parse_dimacs(text: str) -> Graph:
             edges.append((u - 1, v - 1))
         else:
             raise GraphParseError(f"line {lineno}: unknown line type {parts[0]!r}")
+    return _graph_from(header, edges, "missing 'p edge n m' line")
+
+
+def _graph_from(
+    header: tuple[int, int] | None, edges: list[tuple[int, int]], missing: str
+) -> Graph:
+    """Shared tail of the parsers; n is capped before Graph allocates for it."""
     if header is None:
-        raise GraphParseError("missing 'p edge n m' line")
+        raise GraphParseError(missing)
     n, m = header
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"header declares {n} vertices; the limit is {MAX_VERTICES}")
     if len(edges) != m:
         raise GraphParseError(f"header promises {m} edges, found {len(edges)}")
     try:

@@ -73,6 +73,7 @@ class _Dinic:
         self.head: list[list[int]] = [[] for _ in range(size)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.level: list[int] = []  # the last BFS of max_flow; -1: unreached
 
     def add_edge(self, u: int, v: int, c: int) -> None:
         """Add arc u->v with capacity c (id len(to)) and its residual twin."""
@@ -87,7 +88,7 @@ class _Dinic:
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
         level = [-1] * self.size
         level[s] = 0
         queue = deque([s])
@@ -98,7 +99,7 @@ class _Dinic:
                 if self.cap[eid] > 0 and level[v] == -1:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] != -1 else None
+        return level
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         path: list[int] = []
@@ -129,10 +130,14 @@ class _Dinic:
                 it[u] += 1
 
     def max_flow(self, s: int, t: int) -> int:
+        """Value of a maximum s-t flow.  The last BFS, the one that no longer
+        reaches t, stays in self.level: its reached vertices are the source
+        side of the minimal min cut."""
         total = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = self._levels(s)
+            if level[t] == -1:
+                self.level = level
                 return total
             it = [0] * self.size
             while True:
@@ -140,19 +145,6 @@ class _Dinic:
                 if pushed == 0:
                     break
                 total += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual network (minimal min cut)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def _goldberg(g: Graph, d: Fraction) -> tuple[_Dinic, bool]:
@@ -184,8 +176,7 @@ def _goldberg(g: Graph, d: Fraction) -> tuple[_Dinic, bool]:
 def _source_vertices(net: _Dinic, n: int) -> list[int]:
     """Vertices on the source side of the minimal min cut of an unsaturated
     Goldberg network: a set denser than its threshold."""
-    side = net.source_side(0)
-    chosen = sorted(v for v in range(n) if v + 1 in side)
+    chosen = [v for v in range(n) if net.level[v + 1] != -1]
     if not chosen:
         raise RuntimeError("min cut below saturation must expose a vertex set")
     return chosen

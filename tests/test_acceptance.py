@@ -216,7 +216,8 @@ def test_criterion_11_discharging_completeness():
             m = rng.randint(max(1, n // 2), min(n * (n - 1) // 2, 14 * n // 10))
             g = util.random_graph(rng, n, m)
             if oc.mad_below(g, 3):
-                oc.find_reducible_six(g)  # raises ReductionExhaustedError if absent
+                # raises ReductionExhaustedError if some stage has no configuration
+                oc.six_reduction_records(g)
                 found += 1
         rng = random.Random(1702)
         found = 0
@@ -225,7 +226,7 @@ def test_criterion_11_discharging_completeness():
             m = rng.randint(max(1, n // 2), min(n * (n - 1) // 2, 13 * n // 10))
             g = util.random_graph(rng, n, m)
             if oc.mad_below(g, Fraction(20, 7)):
-                oc.find_reducible_five(g)
+                oc.five_reduction_records(g)
                 found += 1
 
 

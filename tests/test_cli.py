@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oddcolor
-from oddcolor import Graph, serialize_graph, subdivide
+from oddcolor import Graph, cli, constructive, serialize_graph, subdivide
 
 CMD = [sys.executable, "-m", "oddcolor"]
 # the CLI runs the same package the tests imported, installed or not
@@ -146,6 +146,10 @@ class TestColorVerify:
         '{"k": true, "colors": [1, 2, 1]}',
         '{"k": 2, "colors": [1, true, 1]}',
         '{"k": 2, "colors": [1, 7, 1]}',
+        # deep enough to exhaust json's recursion
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-array"),
+        pytest.param('{"k": 3, "colors": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     id="deep-colors"),
     ])
     def test_verify_rejects_malformed_file(self, tmp_path, coloring):
         graph_file = tmp_path / "p3.txt"
@@ -212,6 +216,20 @@ class TestGen:
         assert run(["gen", "cycle-leaves", "9", "1,1"]).returncode == 2
         assert run(["gen", "kstar", "x"]).returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ["gen", "kstar", "2000"],  # 2001000 vertices
+        ["gen", "cycle", "2000000"],
+        ["gen", "cycle-leaves", "3", "2000000000"],
+        ["mad"],
+        ["mad", "--format", "dimacs"],
+    ])
+    def test_vertex_cap(self, args):
+        # refused from the requested size alone, before anything is allocated
+        header = "p edge 2000000000 0\n" if "dimacs" in args else "2000000000 0\n"
+        proc = run(args, stdin=header)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "limit is 1000000" in proc.stderr
+
 
 class TestGirth:
     def test_forest_is_inf(self):
@@ -263,6 +281,23 @@ class TestErrorsAndDeterminism:
         assert runs[0].stdout == runs[1].stdout
         reports = [run(["mad", "--witness"], stdin=graph) for _ in range(2)]
         assert reports[0].stdout == reports[1].stdout
+
+    @pytest.mark.parametrize("exc", [
+        oddcolor.ReductionExhaustedError("no reducible configuration"),
+        oddcolor.PaletteExhaustedError("all 5 colors forbidden"),
+        RuntimeError("invalid coloring produced"),
+    ])
+    def test_internal_error_is_one_line(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(constructive, "_reduce_all", fail)
+        graph_file = tmp_path / "k5.txt"
+        graph_file.write_text(serialize_graph(oddcolor.gen_kstar(5)))
+        assert cli.main(["color", "-i", str(graph_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: internal: {type(exc).__name__}: ")
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -48,16 +48,6 @@ class TestPartialColoring:
         with pytest.raises(ValueError, match="already"):
             pc.assign(0, 2)
 
-    def test_unassign(self):
-        pc = PartialColoring(gen_cycle(4), 4)
-        pc.assign(0, 1)
-        assert pc.odd_color_set(1) == {1}
-        pc.unassign(0)
-        assert pc.odd_color_set(1) == set()
-        assert pc.odd_color_set(3) == set()
-        with pytest.raises(ValueError, match="not colored"):
-            pc.unassign(0)
-
     def test_odd_color_set_examples(self):
         star = gen_star(3)
         pc = PartialColoring(star, 4)
@@ -101,15 +91,12 @@ class TestPartialColoring:
         pc = PartialColoring(g, 6)
         ops = 0
         while ops < 10_000:
-            v = rng.randrange(g.n)
-            if pc.is_colored(v):
-                pc.unassign(v)
-            else:
-                free = [c for c in range(1, 7)
-                        if all(pc.color[w] != c for w in g.neighbors(v))]
-                if not free:
-                    continue
-                pc.assign(v, rng.choice(free))
+            moves = [(v, c) for v in range(g.n) if not pc.is_colored(v)
+                     for c in range(1, 7) if all(pc.color[w] != c for w in g.neighbors(v))]
+            if not moves:  # every vertex colored or stuck: start a fresh coloring
+                pc = PartialColoring(g, 6)
+                continue
+            pc.assign(*rng.choice(moves))
             ops += 1
             if ops % 250 == 0:
                 for u in range(g.n):

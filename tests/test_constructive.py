@@ -19,8 +19,6 @@ from oddcolor import (
     color_six,
     cycle_chi,
     eps_reduction_records,
-    find_reducible_five,
-    find_reducible_six,
     five_reduction_records,
     gen_complete,
     gen_cycle,
@@ -138,29 +136,25 @@ class TestClassifySmall:
 
 class TestFinders:
     def test_six_engine_examples(self):
-        rec = find_reducible_six(gen_cycle(4))
+        rec = six_reduction_records(gen_cycle(4))[0]
         assert rec.kind == "adjacent-2" and rec.deleted == (0, 1)
 
-        rec = find_reducible_six(gen_star(3))
+        rec = six_reduction_records(gen_star(3))[0]
         assert rec.kind == "leaf" and rec.deleted == (1,)
 
-        rec = find_reducible_six(gen_kstar(6))
+        rec = six_reduction_records(gen_kstar(6))[0]
         assert rec.kind == "5v-five-2nbrs"
         assert rec.deleted[0] == 0 and len(rec.deleted) == 6
 
     def test_five_engine_examples(self):
-        rec = find_reducible_five(gen_cycle(7))
+        rec = five_reduction_records(gen_cycle(7))[0]
         assert rec.kind == "adjacent-2"
 
-        rec = find_reducible_five(gen_kstar(5))
+        rec = five_reduction_records(gen_kstar(5))[0]
         assert rec.kind == "4v-weak" and rec.deleted[0] == 0
 
-        rec = find_reducible_five(gen_path(2))
+        rec = five_reduction_records(gen_path(2))[0]
         assert rec.kind == "leaf"
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            find_reducible_six(Graph(0, []))
 
     def test_record_structural_invariants(self):
         rng = random.Random(89)

@@ -57,6 +57,12 @@ class TestGraphConstruction:
         assert gen_path(6).is_forest()
         assert not gen_cycle(6).is_forest()
 
+    def test_is_cycle(self):
+        assert gen_cycle(3).is_cycle() and gen_cycle(7).is_cycle()
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for g in (gen_path(6), two_triangles, Graph(0, []), Graph(1, [])):
+            assert not g.is_cycle()
+
 
 class TestParsing:
     def test_edgelist_path(self):
