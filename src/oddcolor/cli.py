@@ -8,8 +8,9 @@ through stdin/stdout (or -i/-o paths) so commands compose with pipes, e.g.
 
 Exit codes: 0 success; 1 semantic failure (invalid coloring, infeasible
 orientation, unsupported density) or an internal error, reported on one
-line; 2 parse or usage error, including a graph above MAX_VERTICES.  Rational
-options are exact "p/q" strings or integers; decimals are rejected.
+line; 2 parse or usage error, including a graph above MAX_VERTICES and an
+unreadable input or unwritable output path.  Rational options are exact
+"p/q" strings or integers; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -69,8 +70,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:

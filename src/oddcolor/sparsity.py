@@ -16,6 +16,29 @@ That one flow answers every threshold question here; when it saturates
 the source arcs, its edge flows are a fractional orientation with every
 indegree at most d (Hakimi 1965).  The exact mad is a Dinkelbach (1967)
 iteration of it that jumps from each found set's density to the next.
+
+From d = 1 on, the flow runs on a kernel of the graph instead, with the
+same answer.  Take the minimal maximiser S of q*|E(S)| - p*|S|.  A vertex
+with at most one neighbour in S adds at most q - p <= 0, so every vertex of
+S has two neighbours in S and S lies in the 2-core (Batagelj & Zaversnik
+2003).  In the core, a chain of L edges whose L - 1 inner vertices have core
+degree 2 is either wholly in S with both ends or not in S at all, and then
+adds q*L - p*(L - 1).  So the kernel keeps only the branch vertices (core
+degree 3 or more) and makes each chain one edge of that weight between its
+ends: parallel chains add up, a chain back to its start is a vertex weight,
+and a chain of weight <= 0 is dropped, as is a core component that is a
+plain cycle (its L edges never beat p*L).  Goldberg's network takes edge
+and vertex weights as they are, the vertex weights lowering the sink
+capacities; its minimal cut, lifted with the inner vertices of each kept
+chain whose ends are both in it, is S.  On the graphs of the paper's
+classes, mostly degree-2 paths and pendant trees, the kernel is a fraction
+of the graph.  Below d = 1 the kernel is the graph itself, every edge a
+chain of one edge, so the network is Goldberg's original.  An orientation
+is rebuilt along each chain in one pass: the inner vertices of a kept
+chain take d each and its ends split the rest as the flow on its edge
+says, those of a dropped chain of L edges take L/(L - 1) <= d each, a
+peeled tree edge points into the vertex peeled off, and a plain cycle
+takes 1/2 each way.
 """
 
 from __future__ import annotations
@@ -147,65 +170,193 @@ class _Dinic:
                 total += pushed
 
 
-def _goldberg(g: Graph, d: Fraction) -> tuple[_Dinic, bool]:
-    """Goldberg's network at density d after a max flow, and whether the flow
-    saturates every source arc (then no vertex set is denser than d).
+@dataclass
+class _Network:
+    """Goldberg's network at density d on the kernel of a graph, after a max
+    flow, with what the flow needs to be read back on the graph.
 
-    The one flow network of this module; it rejects the empty graph and a
-    negative threshold.  Arc ids are fixed by construction: four per vertex
-    (source arc, sink arc), then four per edge, so edge i's arc u->v has id
-    4n + 4i and its arc v->u id 4n + 4i + 2.
+    Network node i + 1 is kernel vertex vertices[i]; 0 is the source and
+    len(vertices) + 1 the sink.  kept lists the chains (vertex paths between
+    kernel vertices) of positive weight with that weight, dropped the other
+    chains, and peeled the vertices outside the 2-core in peel order, each
+    with the neighbour it still had when it went (-1 for none).
+    """
+
+    d: Fraction
+    net: _Dinic
+    saturated: bool
+    vertices: list[int]
+    kept: list[tuple[list[int], int]]
+    dropped: list[list[int]]
+    peeled: list[tuple[int, int]]
+
+
+def _contract(g: Graph) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
+    """Peel g to its 2-core and cut the core into chains.
+
+    Returns the peeled vertices (as in _Network.peeled), the branch vertices
+    (core degree 3 or more) and the chains: every path of the core whose
+    inner vertices have core degree 2 and whose ends are branch vertices,
+    once each; a chain may return to its start.  Cycle components of the
+    core have no branch vertex and appear in neither list.
+    """
+    deg = list(g.degrees())
+    alive = [True] * g.n
+    peeled = []
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    while stack:
+        v = stack.pop()
+        alive[v] = False
+        left = -1
+        for w in g.neighbors(v):
+            if alive[w]:
+                left = w
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+        peeled.append((v, left))
+    branch = [v for v in range(g.n) if alive[v] and deg[v] > 2]
+    walked = [False] * g.n  # inner vertices of the chains found so far
+    chains = []
+    for a in branch:
+        for x in g.neighbors(a):
+            if not alive[x] or walked[x] or (deg[x] > 2 and x < a):
+                continue  # outside the core, or the chain was found from its other end
+            path, prev = [a], a
+            while deg[x] == 2:
+                walked[x] = True
+                path.append(x)
+                u, w = (y for y in g.neighbors(x) if alive[y])
+                prev, x = x, (w if u == prev else u)
+            path.append(x)
+            chains.append(path)
+    return peeled, branch, chains
+
+
+def _goldberg(g: Graph, d: Fraction) -> _Network:
+    """Goldberg's network at density d = p/q on the kernel of g, after a max
+    flow.  The one flow network of this module; it rejects the empty graph
+    and a negative threshold.
+
+    From d = 1 on, the kernel is the 2-core's branch vertices, and a chain
+    of L edges becomes one edge of weight q*L - p*(L - 1) between its ends
+    (see the module docstring); below 1 it is g itself, every edge a chain
+    of weight q.  Kernel vertex v gets a source arc of capacity m*q and a
+    sink arc of m*q + 2p minus the weights of the kept chains ending at v (a
+    chain that returns to v counts twice: a vertex weight).  Each kept chain
+    between two vertices gets an arc of its weight both ways, so parallel
+    chains add up.  Arc ids are fixed by construction: four per kernel
+    vertex, then four per such chain in kept order.
     """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
     p, q = d.numerator, d.denominator
     if p < 0:
         raise ValueError("density threshold must be non-negative")
-    n, m = g.n, g.m
-    s, t = 0, n + 1
-    net = _Dinic(n + 2)
-    for v in range(n):
-        net.add_edge(s, v + 1, m * q)
-        net.add_edge(v + 1, t, m * q + 2 * p - q * g.degree(v))
-    for u, v in g.edges():
-        net.add_edge(u + 1, v + 1, q)
-        net.add_edge(v + 1, u + 1, q)
-    return net, net.max_flow(s, t) == m * n * q
+    if d >= 1:
+        peeled, vertices, chains = _contract(g)
+    else:
+        peeled, vertices, chains = [], list(range(g.n)), [[u, v] for u, v in g.edges()]
+    node = [0] * g.n
+    for i, v in enumerate(vertices):
+        node[v] = i + 1
+    kept, dropped = [], []
+    load = [0] * (len(vertices) + 1)
+    for path in chains:
+        weight = q * (len(path) - 1) - p * (len(path) - 2)
+        if weight > 0:
+            kept.append((path, weight))
+            load[node[path[0]]] += weight
+            load[node[path[-1]]] += weight
+        else:
+            dropped.append(path)
+    cap, t = g.m * q, len(vertices) + 1
+    net = _Dinic(t + 1)
+    for v in range(1, t):
+        net.add_edge(0, v, cap)
+        net.add_edge(v, t, cap + 2 * p - load[v])
+    for path, weight in kept:
+        a, b = node[path[0]], node[path[-1]]
+        if a != b:
+            net.add_edge(a, b, weight)
+            net.add_edge(b, a, weight)
+    saturated = net.max_flow(0, t) == cap * len(vertices)
+    return _Network(d, net, saturated, vertices, kept, dropped, peeled)
 
 
-def _source_vertices(net: _Dinic, n: int) -> list[int]:
-    """Vertices on the source side of the minimal min cut of an unsaturated
-    Goldberg network: a set denser than its threshold."""
-    chosen = [v for v in range(n) if net.level[v + 1] != -1]
+def _source_vertices(nw: _Network) -> list[int]:
+    """The source side of the minimal min cut of an unsaturated network,
+    lifted to the graph: the kernel vertices on it and the inner vertices of
+    every kept chain with both ends on it.  A set denser than the threshold."""
+    level = nw.net.level
+    chosen = [v for i, v in enumerate(nw.vertices) if level[i + 1] != -1]
     if not chosen:
         raise RuntimeError("min cut below saturation must expose a vertex set")
-    return chosen
+    inside = set(chosen)
+    for path, _ in nw.kept:
+        if path[0] in inside and path[-1] in inside:
+            chosen.extend(path[1:-1])
+    return sorted(chosen)
 
 
-def _orientation(g: Graph, net: _Dinic, d: Fraction) -> FractionalOrientation:
-    """Read a fractional orientation off a saturated Goldberg network at d.
+def _orientation(g: Graph, nw: _Network) -> FractionalOrientation:
+    """Read a fractional orientation off a saturated network at d = p/q.
 
-    With d = p/q, the net flow f on edge u->v lies in [-q, q]; orient
-    (q + f) / 2q of the edge into v.  Every source arc is full, so the net
-    edge inflow of v is at most its sink capacity minus m*q, which is
-    2p - q*deg(v); hence every indegree is at most p/q = d (Hakimi 1965).
+    The net flow f from the first end a of a kept chain of weight w to its
+    last end b lies in [-w, w] (f = 0 on a chain back to a), so the chain
+    gives the non-negative shares (w - f)/2q to a and (w + f)/2q to b.  With
+    every source arc full, the net outflow of a kernel vertex is at least
+    its load (the weights of the kept chain ends at it) minus 2p, so its
+    shares come to at most 2p/2q = d (Hakimi 1965).  The inner vertices of
+    kept chains take exactly d, those of a dropped chain of L edges
+    L/(L - 1) <= d while its ends take nothing, a peeled edge points fully
+    into the vertex peeled off, and a cycle of the core takes 1/2 each way.
     """
-    q = d.denominator
-    indeg = [0] * g.n  # in units of 1/2q
+    p, q = nw.d.numerator, nw.d.denominator
+    toward: dict[tuple[int, int], Fraction] = {}  # (u, v), u < v: weight into v
+    share = [0] * g.n  # indegrees in units of 1/2q, except inside dropped chains
+    inner_of_dropped: dict[int, Fraction] = {}
+
+    def along(path: list[int], take: int, absorb: int, unit: int) -> None:
+        # path[0] takes `take` of the `unit` of its edge, each inner vertex `absorb`
+        for u, v in zip(path, path[1:]):
+            toward[(u, v) if u < v else (v, u)] = Fraction(unit - take if u < v else take, unit)
+            take = absorb - (unit - take)
+
+    for v, left in nw.peeled:
+        if left >= 0:
+            along([left, v], 0, 0, 1)
+            share[v] += 2 * q
+    arc = 4 * len(nw.vertices)
+    for path, weight in nw.kept:
+        flow = 0
+        if path[0] != path[-1]:
+            flow = nw.net.flow_on(arc) - nw.net.flow_on(arc + 2)
+            arc += 4
+        along(path, weight - flow, 2 * p, 2 * q)
+        share[path[0]] += weight - flow
+        share[path[-1]] += weight + flow
+        for v in path[1:-1]:
+            share[v] = 2 * p
+    for path in nw.dropped:
+        along(path, 0, len(path) - 1, len(path) - 2)
+        for v in path[1:-1]:
+            inner_of_dropped[v] = Fraction(len(path) - 1, len(path) - 2)
+    half = Fraction(1, 2)
     weights: dict[tuple[int, int], Fraction] = {}
-    for i, (u, v) in enumerate(g.edges()):
-        arc = 4 * g.n + 4 * i
-        into_v = q + net.flow_on(arc) - net.flow_on(arc + 2)
-        weights[(u, v)] = Fraction(into_v, 2 * q)
-        indeg[v] += into_v
-        indeg[u] += 2 * q - into_v
-    return FractionalOrientation(weights, tuple(Fraction(x, 2 * q) for x in indeg))
+    for u, v in g.edges():
+        if (u, v) not in toward:  # on a cycle of the core
+            share[u] += q
+            share[v] += q
+        weights[(u, v)] = toward.get((u, v), half)
+    indeg = tuple(inner_of_dropped.get(v) or Fraction(share[v], 2 * q) for v in range(g.n))
+    return FractionalOrientation(weights, indeg)
 
 
 def _denser_subgraph(g: Graph, d: Fraction) -> list[int] | None:
     """Vertex set with density strictly above d, or None if none exists."""
-    net, saturated = _goldberg(g, d)
-    return None if saturated else _source_vertices(net, g.n)
+    nw = _goldberg(g, d)
+    return None if nw.saturated else _source_vertices(nw)
 
 
 def subset_density(g: Graph, vertices: Iterable[int]) -> Fraction:
@@ -267,11 +418,10 @@ def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
     True comes with a fractional orientation of maximum indegree alpha/2;
     false comes with a vertex set of density above alpha/2.
     """
-    d = Fraction(alpha) / 2
-    net, saturated = _goldberg(g, d)
-    if saturated:
-        return MadDecision(True, _orientation(g, net, d))
-    found = _source_vertices(net, g.n)
+    nw = _goldberg(g, Fraction(alpha) / 2)
+    if nw.saturated:
+        return MadDecision(True, _orientation(g, nw))
+    found = _source_vertices(nw)
     return MadDecision(
         False,
         counterexample=tuple(found),
@@ -291,8 +441,8 @@ def fractional_orientation(g: Graph, alpha: Fraction | int) -> FractionalOrienta
         raise ValueError("alpha must be non-negative")
     if g.m == 0:
         return FractionalOrientation({}, (Fraction(0),) * g.n)
-    net, saturated = _goldberg(g, alpha / 2)
-    return _orientation(g, net, alpha / 2) if saturated else None
+    nw = _goldberg(g, alpha / 2)
+    return _orientation(g, nw) if nw.saturated else None
 
 
 # ---------------------------------------------------------------------------

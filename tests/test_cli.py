@@ -305,3 +305,14 @@ class TestErrorsAndDeterminism:
         proc = run(["mad", "-o", str(target)], stdin=graph)
         assert proc.returncode == 0
         assert target.read_text() == "mad 2/1\n"
+
+    @pytest.mark.parametrize("stages", [
+        [["gen", "cycle", "5"]],
+        [["gen", "cycle", "6"], ["color"]],
+    ])
+    def test_unwritable_output_is_usage_error(self, tmp_path, stages):
+        target = tmp_path / "missing" / "out.txt"
+        proc = run(stages[-1] + ["-o", str(target)], stdin=chain(*stages[:-1]))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert proc.stderr.count("\n") == 1 and not target.exists()

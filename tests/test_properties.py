@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.flow import edmonds_karp
 
 from oddcolor import (
     Graph,
@@ -23,6 +24,7 @@ from oddcolor import (
     is_odd_coloring,
     mad_exact,
 )
+from oddcolor import sparsity
 
 import util
 
@@ -38,6 +40,49 @@ def graphs(draw, n_range, ratios, subdivide=False):
     if subdivide:
         g = util.partial_subdivide(rng, g, draw(st.sampled_from([0, 0.5, 1])))
     return g
+
+
+@st.composite
+def kernel_graphs(draw, n_max):
+    """Graphs with every shape the density kernel peels or contracts, on at
+    most n_max vertices: a random core with some edges subdivided into
+    chains, parallel chains, chains that return to their start, cycle
+    components, isolated vertices, pendant trees and pendant paths."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = rng.randint(2, 6)
+    edges: list[tuple[int, int]] = []
+    used: list[tuple[int, int]] = []
+    nxt = k
+
+    def chain(u, v, length):
+        # a path of `length` edges from u to v through fresh vertices, if they fit
+        nonlocal nxt
+        if nxt + length - 1 > n_max:
+            return False
+        walk = [u, *range(nxt, nxt + length - 1), v]
+        nxt += length - 1
+        edges.extend(zip(walk, walk[1:]))
+        return True
+
+    for u, v in util.all_pairs(k):
+        if rng.random() < 0.6:
+            chain(u, v, rng.choice((1, 1, 2, 3, 4))) or chain(u, v, 1)
+            used.append((u, v))
+    for _ in range(rng.randint(0, 2)):
+        if used:
+            chain(*rng.choice(used), rng.randint(2, 4))  # parallel to a chain or edge
+    for _ in range(rng.randint(0, 2)):
+        u = rng.randrange(k)
+        chain(u, u, rng.randint(3, 5))  # back to its start
+    length = rng.randint(3, 5)
+    if rng.random() < 0.4 and nxt + length <= n_max:
+        nxt += 1
+        chain(nxt - 1, nxt - 1, length)  # a cycle component
+    for _ in range(rng.randint(0, 5)):
+        if nxt < n_max:  # a pendant path when it hangs off the last one, else a tree
+            edges.append((nxt - 1 if rng.random() < 0.5 else rng.randrange(nxt), nxt))
+            nxt += 1
+    return Graph(min(n_max, nxt + rng.randint(0, 2)), edges)
 
 
 @settings(SETTINGS, max_examples=100)
@@ -81,9 +126,29 @@ def test_orientation_exists_exactly_when_mad_at_most_alpha(g, where, num, den):
     assert all(d <= alpha / 2 for d in indeg)
 
 
-def goldberg_min_cut(g: Graph, d: Fraction) -> tuple[int, set[int]]:
-    """Min cut of Goldberg's densest-subgraph network at density d, by
-    networkx, with the graph vertices on its source side."""
+@settings(SETTINGS, max_examples=80)
+@given(kernel_graphs(14), st.integers(1, 24), st.integers(1, 7))
+def test_orientation_through_contracted_chains(g, num, den):
+    # alpha/2 = 1, 10/7 (chains of 2 and 3 edges kept, 4 dropped), 3/2 (2
+    # kept, 3 at weight 0), 2 (2 at weight 0), the mad and a drawn value
+    mad = util.brute_force_mad(g)
+    for alpha in (2, Fraction(20, 7), 3, 4, mad, Fraction(num, den)):
+        fo = fractional_orientation(g, alpha)
+        assert (fo is not None) == (mad <= alpha)
+        if fo is None:
+            continue
+        assert list(fo.weights) == list(g.edges())
+        indeg = [Fraction(0)] * g.n
+        for (u, v), w in fo.weights.items():
+            assert 0 <= w <= 1
+            indeg[v] += w
+            indeg[u] += 1 - w
+        assert tuple(indeg) == fo.indegree
+        assert all(d <= Fraction(alpha) / 2 for d in indeg)
+
+
+def goldberg_network(g: Graph, d: Fraction) -> nx.DiGraph:
+    """Goldberg's densest-subgraph network at density d on the whole graph."""
     p, q, m = d.numerator, d.denominator, g.m
     net = nx.DiGraph()
     for v in range(g.n):
@@ -92,8 +157,43 @@ def goldberg_min_cut(g: Graph, d: Fraction) -> tuple[int, set[int]]:
     for u, v in g.edges():
         net.add_edge(u, v, capacity=q)
         net.add_edge(v, u, capacity=q)
-    value, (side, _) = nx.minimum_cut(net, "s", "t")
+    return net
+
+
+def goldberg_min_cut(g: Graph, d: Fraction) -> tuple[int, set[int]]:
+    """Min cut of Goldberg's densest-subgraph network at density d, by
+    networkx, with the graph vertices on its source side."""
+    value, (side, _) = nx.minimum_cut(goldberg_network(g, d), "s", "t")
     return value, side - {"s"}
+
+
+def minimal_source_side(g: Graph, d: Fraction) -> tuple[int, set[int]]:
+    """Max-flow value of Goldberg's full network at d (networkx), and the
+    graph vertices reachable from the source in its residual network: the
+    source side of the minimal min cut.  (nx.minimum_cut returns the
+    maximal one: everything that cannot reach the sink.)"""
+    residual = edmonds_karp(goldberg_network(g, d), "s", "t")
+    seen, stack = {"s"}, ["s"]
+    while stack:
+        u = stack.pop()
+        for v, arc in residual[u].items():
+            if arc["flow"] < arc["capacity"] and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return residual.graph["flow_value"], seen - {"s"}
+
+
+@settings(SETTINGS, max_examples=150)
+@given(kernel_graphs(40), st.integers(0, 30), st.integers(1, 9))
+def test_kernel_finds_the_minimal_cut_of_the_full_network(g, num, den):
+    # 1, 10/7 and a drawn value, and the densities 2, 3/2 and 4/3 at which
+    # chains of 2, 3 and 4 edges weigh exactly 0
+    for d in (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4, 3), Fraction(10, 7),
+              Fraction(num, den)):
+        value, side = minimal_source_side(g, d)
+        found = sparsity._denser_subgraph(g, d)
+        assert found == (sorted(side) or None)
+        assert (found is None) == (value == g.m * g.n * d.denominator)
 
 
 @settings(SETTINGS, max_examples=60)

@@ -106,6 +106,55 @@ class TestMadDecide:
         assert decision.holds == (alpha >= Fraction(20, 7)) and len(calls) == 1
 
 
+class TestKernel:
+    @pytest.mark.parametrize("d, size, found", [
+        (Fraction(10, 7), 6 + 2, None),  # the six hubs; each chain one edge
+        (Fraction(1, 2), 21 + 2, list(range(21))),  # below 1: the whole graph
+    ])
+    def test_flow_runs_on_the_kernel(self, monkeypatch, d, size, found):
+        sizes = []
+        init = sparsity._Dinic.__init__
+        monkeypatch.setattr(
+            sparsity._Dinic, "__init__", lambda net, n: sizes.append(n) or init(net, n)
+        )
+        assert sparsity._denser_subgraph(gen_kstar(6), d) == found
+        assert sizes == [size]
+
+    def test_chain_inner_vertices_take_d(self):
+        # alpha/2 = 3/2: every chain of gen_kstar(4) is kept, its middle takes 3/2
+        g = gen_kstar(4)
+        fo = fractional_orientation(g, 3)
+        assert fo.indegree[4:] == (Fraction(3, 2),) * 6
+        # alpha/2 = 2: a chain of two edges weighs 0 and is dropped, so both
+        # of its edges point into the middle and the hubs take nothing
+        fo = fractional_orientation(g, 4)
+        assert set(fo.weights.values()) == {1}
+        assert fo.indegree == (0,) * 4 + (2,) * 6
+
+    def test_peeled_edges_and_core_cycles(self):
+        # a 4-cycle (a cycle of the 2-core) with the path 3-4-5 hanging off it
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)])
+        fo = fractional_orientation(g, 2)
+        half = Fraction(1, 2)
+        assert fo.weights == {(0, 1): half, (0, 3): half, (1, 2): half, (2, 3): half,
+                              (3, 4): 1, (4, 5): 1}
+        assert fo.indegree == (1, 1, 1, 1, 1, 1)
+
+    def test_chain_back_to_its_start(self):
+        # K4 with a 4-cycle 3-4-5-6 through vertex 3: the cycle is a chain of
+        # weight 4q - 3p on 3 alone, which is positive below d = 4/3
+        g = Graph(7, util.all_pairs(4) + [(3, 4), (4, 5), (5, 6), (3, 6)])
+        assert sparsity._denser_subgraph(g, Fraction(5, 4)) == list(range(7))
+        assert sparsity._denser_subgraph(g, Fraction(4, 3)) == [0, 1, 2, 3]
+        assert sparsity._denser_subgraph(g, Fraction(3, 2)) is None
+        # gen_kstar(4) (density 6/5) with a 4-cycle through hub 0: at 5/4 the
+        # cycle is kept and its inner vertices take exactly 5/4
+        g = Graph(13, list(gen_kstar(4).edges()) + [(0, 10), (10, 11), (11, 12), (0, 12)])
+        fo = fractional_orientation(g, Fraction(5, 2))
+        assert fo.indegree[10:] == (Fraction(5, 4),) * 3
+        assert max(fo.indegree) == Fraction(5, 4)
+
+
 class TestMadBelow:
     def test_strictness(self):
         rng = random.Random(43)
