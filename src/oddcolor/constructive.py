@@ -17,9 +17,11 @@ An engine is an ordered table of rules, one per reducible configuration of
 the paper's discharging argument.  A rule names the current degrees its
 center may have and a match function that returns the configuration's
 record at a vertex, or None.  The first rule that matches wins, at its
-lowest-indexed vertex (read from the peeler's degree buckets), so
-reductions are fully deterministic.  The eps engine ends in one special
-rule that picks the degree-4+ vertex of least charge.  The 5-color engine
+lowest-indexed vertex, so reductions are fully deterministic.  The eps
+engine ends in one rule keyed by charge, which picks the degree-4+ vertex
+of least charge.  Each rule keeps a lazily checked heap of candidate
+centers; a deletion pushes only the vertices within the rule's reach whose
+degree, or a neighbour's, fell (``_Candidates``).  The 5-color engine
 keeps its two 4v-weak rules as separate rows: every center the first (four
 2-neighbors) accepts, the second (a 2-neighbor and only weak neighbors)
 accepts too, so one merged row would pick the lowest center of either
@@ -42,11 +44,12 @@ graphs, and a dispatcher that picks the strongest applicable strategy.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from typing import Callable
+from typing import Callable, Container, NamedTuple
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
 from .exact import SolveBudget, odd_chromatic_number
@@ -89,9 +92,28 @@ class ColoringResult:
     strategy: str
 
 
-_Finder = Callable[[_Peeler], ReductionRecord | None]
 _Match = Callable[[_Peeler, int], ReductionRecord | None]
-_Rule = tuple[tuple[int, ...], _Match]  # (center degrees, match)
+
+
+class _Rule(NamedTuple):
+    """One row of an engine's rule table.
+
+    degrees: the current degrees a center may have.  match: the
+    configuration's record at a center, or None.  wake: the degrees a
+    neighbour of a center may fall to and thereby make it match; far: the
+    same holds for the neighbours of a neighbour of the center's degree.
+    key: the integer a center is chosen by, least first; rules without one
+    take their lowest-indexed center.
+    """
+
+    degrees: Container[int]
+    match: _Match
+    wake: tuple[int, ...] = ()
+    far: bool = False
+    key: Callable[[_Peeler, int], int] | None = None
+
+
+_Slot = tuple[_Rule, list[tuple[int, int]], list[int | None]]  # rule, heap, last
 
 
 def _two_neighbors(st: _Peeler, v: int) -> list[int]:
@@ -179,81 +201,152 @@ def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
     return ReductionRecord("adjacent-4v", deleted, frontier)
 
 
-def _least_charge_star(st: _Peeler, x: Fraction, deg_cap: int) -> ReductionRecord | None:
-    """Star at the degree-4+ vertex minimizing deg(v) - x * (number of
-    2-neighbors), lowest index on ties; the discharging argument guarantees
-    the minimum is at most 2 + 2x."""
-    centers = st.of_degree(range(4, len(st.bucket)))
-    if not centers:
-        return None
-    # compare charges scaled by q > 0 (x = p/q) as integers
-    p, q = x.numerator, x.denominator
-    best = min(centers, key=lambda v: q * st.deg[v] - p * len(_two_neighbors(st, v)))
-    twos = _two_neighbors(st, best)
-    if q * st.deg[best] - p * len(twos) > 2 * q + 2 * p:
-        charge = st.deg[best] - x * len(twos)
-        raise ReductionExhaustedError(
-            f"selected vertex {best} has charge {charge} > {2 + 2 * x}"
-        )
-    if st.deg[best] > deg_cap:
-        raise ReductionExhaustedError(
-            f"selected vertex {best} has degree {st.deg[best]} > {deg_cap}"
-        )
-    return _star_record("star", st, best, twos)
-
-
-def _first(rules: tuple[_Rule, ...], st: _Peeler) -> ReductionRecord | None:
-    """Record of the first rule that matches, at its lowest-indexed center."""
-    for degrees, match in rules:
-        for v in st.of_degree(degrees):
-            rec = match(st, v)
-            if rec is not None:
-                return rec
-    return None
-
-
-# Rule tables, in priority order.
-_SIX: _Finder = partial(_first, (
-    ((0, 1), _leaf),
-    ((2,), _adjacent_two),
-    ((3,), _three_with_two),
-    ((4,), _four_three_twos),
-    ((5,), _five_five_twos),
-))
-_FIVE: _Finder = partial(_first, (
-    ((0, 1), _leaf),
-    ((2,), _adjacent_two),
-    ((3,), _three_weak_pair),
-    ((4,), _four_weak_all_twos),
-    ((4,), _four_weak),
-    ((4,), _adjacent_four),
-))
+# Rule tables, in priority order.  A rule's wake lists the new degrees of a
+# neighbour whose drop can make a center start matching: 2 where the rule
+# counts 2-neighbors, 2 and 3 where it counts weak neighbours, 4 for
+# adjacent-4v's partner, which also reaches one step further (far).  A drop
+# to 1 needs no wake: the leaf rule deletes that neighbour before any other
+# rule runs, and the deletion wakes the center itself.
+_SIX = (
+    _Rule((0, 1), _leaf),
+    _Rule((2,), _adjacent_two, wake=(2,)),
+    _Rule((3,), _three_with_two, wake=(2,)),
+    _Rule((4,), _four_three_twos, wake=(2,)),
+    _Rule((5,), _five_five_twos, wake=(2,)),
+)
+_FIVE = (
+    _Rule((0, 1), _leaf),
+    _Rule((2,), _adjacent_two, wake=(2,)),
+    _Rule((3,), _three_weak_pair, wake=(2, 3)),
+    _Rule((4,), _four_weak_all_twos, wake=(2,)),
+    _Rule((4,), _four_weak, wake=(2, 3)),
+    _Rule((4,), _adjacent_four, wake=(2, 4), far=True),
+)
 _EPS_RULES = (
-    ((0, 1), _leaf),
-    ((3,), _three_vertex),
-    ((2,), _adjacent_two),
+    _Rule((0, 1), _leaf),
+    _Rule((3,), _three_vertex),
+    _Rule((2,), _adjacent_two, wake=(2,)),
 )
 
 
-def _reduce_all(g: Graph, find: _Finder) -> list[ReductionRecord]:
+class _Candidates:
+    """Lazily checked min-heaps of candidate centers, one per rule.
+
+    Invariant: every alive vertex that matches a rule has an entry (key, v)
+    in the rule's heap with its current key (0 for a rule without one).
+    Degrees only fall, so after a deletion a vertex can start matching, or
+    change its key, only if its own degree fell or, within the rule's
+    reach, a neighbour's did: wake pushes exactly those.  A rule's last[v]
+    is the key of v's newest entry, None once that entry is popped, so v is
+    queued once per key and its older entries are skipped.  The entry at
+    the top is checked again (alive, of the rule's degree, matching) and
+    dropped when it fails, so the first that passes is the first rule's
+    lowest center, or its center of least key.
+    """
+
+    def __init__(self, st: _Peeler, rules: tuple[_Rule, ...]):
+        self.st = st
+        # one (rule, heap, last) slot per rule, in priority order
+        self.slots = [(rule, [], [None] * st.g.n) for rule in rules]
+        top = max(st.deg, default=0) + 1
+        # own[d]: the slots whose centers may have degree d; near[du][dv]:
+        # those a neighbour of degree dv is pushed to when u falls to du
+        self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(top)]
+        self.near = {
+            du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
+            for du in {du for rule in rules for du in rule.wake}
+        }
+        for v, d in enumerate(st.deg):
+            self.push(v, self.own[d])
+
+    def push(self, v: int, slots: list[_Slot]) -> None:
+        """Give v a current entry in the heaps of these rules."""
+        for rule, heap, last in slots:
+            k = rule.key(self.st, v) if rule.key else 0
+            if last[v] != k:
+                last[v] = k
+                heapq.heappush(heap, (k, v))
+
+    def wake(self, fell: list[int]) -> None:
+        """Push what may match after a deletion lowered the degrees of fell."""
+        st = self.st
+        alive, deg = st.alive, st.deg
+        for u in fell:
+            self.push(u, self.own[deg[u]])
+            near = self.near.get(deg[u])
+            if near is None:
+                continue
+            for v in st.g.neighbors(u):
+                if alive[v] and near[deg[v]]:
+                    self.push(v, near[deg[v]])
+                    for slot in near[deg[v]]:
+                        if slot[0].far:
+                            for w in st.nbrs(v):
+                                if deg[w] in slot[0].degrees:
+                                    self.push(w, [slot])
+
+    def first(self) -> ReductionRecord | None:
+        """Record of the first rule that matches, at its lowest center."""
+        st = self.st
+        for rule, heap, last in self.slots:
+            while heap:
+                k, v = heapq.heappop(heap)
+                if last[v] != k:
+                    continue
+                last[v] = None
+                if not st.alive[v] or st.deg[v] not in rule.degrees:
+                    continue
+                rec = rule.match(st, v)
+                if rec is not None:
+                    return rec
+        return None
+
+
+def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
     st = _Peeler(g)
+    candidates = _Candidates(st, rules)
     records = []
     while st.remaining:
-        rec = find(st)
+        rec = candidates.first()
         if rec is None:
             raise ReductionExhaustedError(
                 "no reducible configuration in a non-empty graph"
             )
         records.append(rec)
-        st.delete(rec.deleted)
+        candidates.wake(st.delete(rec.deleted))
     return records
 
 
-def _eps_engine(eps: Fraction) -> tuple[_Finder, int]:
-    """Finder and color bound floor(8/eps) + 2 of the eps engine."""
+def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
+    """Rule table and color bound floor(8/eps) + 2 of the eps engine.
+
+    Its last rule is the star at the degree-4+ vertex minimizing the charge
+    deg(v) - x * (number of 2-neighbors), x = 1 - eps/2, lowest index on
+    ties; the discharging argument guarantees the minimum is at most
+    2 + 2x.  Charges are compared scaled by q > 0 (x = p/q) as integers.
+    """
     x = 1 - eps / 2
     k = math.floor(Fraction(8) / eps) + 2
-    return (lambda st: _first(_EPS_RULES, st) or _least_charge_star(st, x, k - 4)), k
+    p, q = x.numerator, x.denominator
+
+    def charge(st: _Peeler, v: int) -> int:
+        return q * st.deg[v] - p * len(_two_neighbors(st, v))
+
+    def star(st: _Peeler, v: int) -> ReductionRecord:
+        twos = _two_neighbors(st, v)
+        if q * st.deg[v] - p * len(twos) > 2 * q + 2 * p:
+            value = st.deg[v] - x * len(twos)
+            raise ReductionExhaustedError(
+                f"selected vertex {v} has charge {value} > {2 + 2 * x}"
+            )
+        if st.deg[v] > k - 4:
+            raise ReductionExhaustedError(
+                f"selected vertex {v} has degree {st.deg[v]} > {k - 4}"
+            )
+        return _star_record("star", st, v, twos)
+
+    star_rule = _Rule(range(4, sys.maxsize), star, wake=(2,), key=charge)
+    return _EPS_RULES + (star_rule,), k
 
 
 def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
@@ -341,12 +434,14 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
         pc.assign(w, choose_color(avoid, k))
 
 
-def _reduce_and_replay(g: Graph, find: _Finder, k: int, strategy: str) -> ColoringResult:
-    """Reduce with find, replay in reverse with k colors and verify.
+def _reduce_and_replay(
+    g: Graph, rules: tuple[_Rule, ...], k: int, strategy: str
+) -> ColoringResult:
+    """Reduce with rules, replay in reverse with k colors and verify.
 
     The caller has decided the density band in which k colors suffice."""
     pc = PartialColoring(g, k)
-    for rec in reversed(_reduce_all(g, find)):
+    for rec in reversed(_reduce_all(g, rules)):
         _replay(pc, rec, g)
     if not pc.is_complete():
         raise RuntimeError("replay left vertices uncolored")
@@ -488,10 +583,12 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
     """Color with the strongest applicable strategy (fewest guaranteed colors).
 
     Dispatch: edgeless -> 1 color; bipartite with all degrees 0/odd -> 2;
-    forest -> 3; a single cycle -> its exact value; then by exact maximum
-    average degree: below 20/7 -> 5, below 3 -> 6, below 4 -> the eps
-    engine at eps = 4 - mad.  Denser graphs fall back to the exact solver
-    when a budget is supplied and raise UnsupportedDensityError otherwise.
+    forest -> 3; a single cycle -> its exact value; then by maximum average
+    degree: below 20/7 -> 5, below 3 -> 6 (each decided by one threshold
+    flow, or none when 2m/n already reaches the threshold); otherwise the
+    exact mad, and below 4 the eps engine at eps = 4 - mad.  Denser graphs
+    fall back to the exact solver when a budget is supplied and raise
+    UnsupportedDensityError otherwise.
     """
     result = classify_small(g)
     if result is not None:
@@ -500,11 +597,11 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return color_forest(g)
     if g.is_cycle():
         return color_cycle_graph(g)
-    mad = mad_exact(g).mad
-    if mad < Fraction(20, 7):
+    if mad_below(g, Fraction(20, 7)):
         return _reduce_and_replay(g, _FIVE, 5, "five")
-    if mad < 3:
+    if mad_below(g, 3):
         return _reduce_and_replay(g, _SIX, 6, "six")
+    mad = mad_exact(g).mad
     if mad < 4:
         return _reduce_and_replay(g, *_eps_engine(4 - mad), "eps")
     if budget is None:

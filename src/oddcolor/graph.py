@@ -8,7 +8,6 @@ DIMACS ("p edge n m" header, then "e u v" lines, 1-based).
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 10**6  # largest n a parsed header or a CLI generator may ask for
@@ -125,44 +124,32 @@ class Graph:
 
 
 class _Peeler:
-    """Alive-mask view of a graph while vertices are deleted.
-
-    Alive vertices are also kept in buckets by current degree (the bucket
-    queue of Matula & Beck's smallest-last order and Batagelj & Zaversnik's
-    O(m) cores), so a search for vertices of a given degree never visits
-    deleted vertices or vertices of other degrees.
-    """
+    """Alive-mask view of a graph while vertices are deleted, with the
+    current degree of every vertex."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.alive = [True] * g.n
         self.deg = list(g.degrees())
         self.remaining = g.n
-        self.bucket: list[set[int]] = [set() for _ in range(max(self.deg, default=0) + 1)]
-        for v, d in enumerate(self.deg):
-            self.bucket[d].add(v)
 
     def nbrs(self, v: int) -> list[int]:
         return [w for w in self.g.neighbors(v) if self.alive[w]]
 
-    def of_degree(self, degrees: Iterable[int]) -> list[int]:
-        """Alive vertices whose current degree is in degrees, in index order."""
-        top = len(self.bucket)
-        return sorted(chain.from_iterable(self.bucket[d] for d in degrees if d < top))
-
-    def delete(self, vs: tuple[int, ...]) -> None:
+    def delete(self, vs: tuple[int, ...]) -> list[int]:
+        """Delete vs; return the alive vertices whose degree fell, once each."""
         for v in vs:
             if not self.alive[v]:
                 raise RuntimeError(f"vertex {v} deleted twice")
             self.alive[v] = False
-            self.bucket[self.deg[v]].remove(v)
             self.remaining -= 1
+        fell: dict[int, None] = {}
         for v in vs:
             for w in self.g.neighbors(v):
                 if self.alive[w]:
-                    self.bucket[self.deg[w]].remove(w)
                     self.deg[w] -= 1
-                    self.bucket[self.deg[w]].add(w)
+                    fell[w] = None
+        return list(fell)
 
 
 # ---------------------------------------------------------------------------

@@ -387,20 +387,25 @@ def mad_exact(g: Graph) -> DensestWitness:
     witness = list(range(g.n))
     density = Fraction(g.m, g.n)
     while (found := _denser_subgraph(g, density)) is not None:
-        witness = found
-        density = subset_density(g, found)
+        found_density = subset_density(g, found)
+        if found_density <= density:  # a faulty flow would loop forever
+            raise RuntimeError(
+                f"flow at density {density} returned a set of density {found_density}"
+            )
+        witness, density = found, found_density
     return DensestWitness(tuple(witness), density, 2 * density)
 
 
 def mad_below(g: Graph, alpha: Fraction | int) -> bool:
-    """Decide mad(G) < alpha (strict) with a single flow computation.
+    """Decide mad(G) < alpha (strict) with at most one flow computation.
 
-    Subgraph densities have denominator at most n, so shifting the
-    threshold alpha/2 down by 1/(4*b*n) (b = denominator of alpha)
+    When 2m >= alpha*n the whole graph is a witness and no flow runs.
+    Otherwise, subgraph densities have denominator at most n, so shifting
+    the threshold alpha/2 down by 1/(4*b*n) (b = denominator of alpha)
     separates "some subgraph has density >= alpha/2" from the rest.
     """
     alpha = Fraction(alpha)
-    if alpha <= 0 and g.n:  # a single vertex already has density 0 >= alpha/2
+    if g.n and 2 * g.m >= alpha * g.n:
         return False
     # the empty graph goes on to the flow, which rejects it
     margin = Fraction(1, 4 * alpha.denominator * max(g.n, 1))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -298,6 +299,22 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: internal: {type(exc).__name__}: ")
+
+    def test_faulty_flow_is_one_line(self, monkeypatch, capsys):
+        # a flow that never finds a denser set makes mad_exact fail, not hang
+        calls = []
+
+        def same_set(g, d):
+            calls.append(d)
+            assert len(calls) <= 50, "mad_exact kept asking for a denser set"
+            return list(range(g.n))
+
+        monkeypatch.setattr(oddcolor.sparsity, "_denser_subgraph", same_set)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(oddcolor.gen_kstar(5))))
+        assert cli.main(["mad"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: internal: RuntimeError: ")
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -32,8 +32,9 @@ from oddcolor import (
     mad_below,
     mad_exact,
     six_reduction_records,
+    subdivide,
 )
-from oddcolor import Graph, sparsity
+from oddcolor import Graph, constructive, sparsity
 
 import util
 
@@ -155,6 +156,45 @@ class TestFinders:
 
         rec = five_reduction_records(gen_path(2))[0]
         assert rec.kind == "leaf"
+
+    # Graphs where a rule's lowest center starts matching only through a
+    # neighbour whose degree fell, after its heap already dropped the center.
+    # The hubs (4 and 5, or 5 and 6) have too few 2-neighbors to be centers
+    # until the end.
+    WOKEN = {
+        # 12's deletion drops x = 4, two steps from v = 0, to degree 2:
+        # adjacent-4v at 0 and its partner 1
+        "x-two-steps-away": (Graph(22, [
+            (0, 1), (0, 7), (0, 8), (0, 9), (7, 5), (8, 5), (9, 5),
+            (1, 10), (1, 11), (1, 4), (10, 6), (11, 6),
+            (4, 5), (4, 12), (12, 2),
+            (2, 3), (2, 13), (2, 14), (13, 6), (14, 6),
+            (3, 15), (3, 16), (3, 17), (15, 6), (16, 6), (17, 6),
+            (18, 5), (18, 6), (19, 5), (19, 6), (20, 5), (20, 6), (21, 5), (21, 6),
+        ]), [("adjacent-4v", (2, 3)), ("adjacent-4v", (0, 1))]),
+        # 12's deletion drops the partner 1 of v = 0 from degree 5 to 4
+        "partner-to-four": (Graph(22, [
+            (0, 1), (0, 6), (0, 7), (0, 8), (6, 4), (7, 4), (8, 4),
+            (1, 9), (1, 10), (1, 11), (9, 5), (10, 5), (11, 5), (1, 12), (12, 2),
+            (2, 3), (2, 13), (2, 14), (13, 5), (14, 5),
+            (3, 15), (3, 16), (3, 17), (15, 5), (16, 5), (17, 5),
+            (18, 4), (18, 5), (19, 4), (19, 5), (20, 4), (20, 5), (21, 4), (21, 5),
+        ]), [("adjacent-4v", (2, 3)), ("adjacent-4v", (0, 1))]),
+        # 9's deletion drops the neighbour 1 of v = 0 from degree 4 to 3
+        "weak-neighbour": (Graph(13, [
+            (0, 6), (6, 4), (0, 7), (7, 4), (0, 8), (8, 5), (0, 1),
+            (1, 9), (1, 4), (1, 5),
+            (9, 2), (2, 10), (10, 5), (2, 11), (11, 4), (2, 3),
+            (3, 4), (3, 5), (12, 4), (12, 5),
+        ]), [("4v-weak", (2, 9)), ("4v-weak", (0, 6))]),
+    }
+
+    @pytest.mark.parametrize("name", WOKEN)
+    def test_centers_woken_by_a_falling_neighbour(self, name):
+        g, first_two = self.WOKEN[name]
+        records = five_reduction_records(g)
+        assert [(r.kind, r.deleted[:2]) for r in records[:2]] == first_two
+        assert records == util.reduction_records_by_scan(g, constructive._FIVE)
 
     def test_record_structural_invariants(self):
         rng = random.Random(89)
@@ -374,25 +414,90 @@ class TestColorAuto:
             second = color_auto(g, SolveBudget(max_k=16))
             assert first == second
 
-    @pytest.mark.parametrize("n, strategy, engine", [
-        (5, "five", color_five),
-        (6, "six", color_six),
-        (7, "eps", lambda g: color_eps(g, 1)),
-    ])
-    def test_density_decided_once(self, monkeypatch, n, strategy, engine):
-        # color_auto runs mad_exact's flows and no second band check
-        g = gen_kstar(n)
+    @staticmethod
+    def count_flows(monkeypatch):
         calls = []
         flow = sparsity._denser_subgraph
         monkeypatch.setattr(
             sparsity, "_denser_subgraph", lambda *a: calls.append(a) or flow(*a)
         )
+        return calls
+
+    @pytest.mark.parametrize("n, strategy, engine", [
+        (5, "five", color_five),  # 2m/n = 8/3 < 20/7: one flow decides it
+        (6, "six", color_six),  # 2m/n = 20/7: only the flow at 3 runs
+        (7, "eps", lambda g: color_eps(g, 1)),  # 2m/n = 3: only mad_exact's
+    ])
+    def test_density_decided_once(self, monkeypatch, n, strategy, engine):
+        g = gen_kstar(n)
+        calls = self.count_flows(monkeypatch)
         mad_exact(g)
         alone = len(calls)
         calls.clear()
         result = color_auto(g)
-        assert alone > 0 and len(calls) == alone
+        assert alone > 0 and len(calls) == (alone if strategy == "eps" else 1)
         assert result.strategy == strategy and result == engine(g)
+
+    @pytest.mark.parametrize("g, strategy", [
+        (util.roadmap_corpus(100), "five"),  # mad_exact takes 3 flows
+        (subdivide(util.random_graph(random.Random(2), 40, 104)), "six"),  # 3
+    ])
+    def test_band_takes_one_flow_where_mad_exact_takes_more(self, monkeypatch, g, strategy):
+        calls = self.count_flows(monkeypatch)
+        mad_exact(g)
+        assert len(calls) == 3
+        calls.clear()
+        assert color_auto(g).strategy == strategy
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("g", [gen_kstar(8), gen_complete(5)])
+    def test_dense_graph_runs_only_mad_exact(self, monkeypatch, g):
+        # with 2m/n >= 3 neither band check needs a flow
+        assert 2 * g.m >= 3 * g.n
+        calls = self.count_flows(monkeypatch)
+        mad = mad_exact(g).mad
+        alone = len(calls)
+        calls.clear()
+        result = color_auto(g, SolveBudget(max_k=10))
+        assert alone > 0 and len(calls) == alone
+        assert result.strategy == ("eps" if mad < 4 else "exact")
+
+    def test_strategy_is_the_band_of_the_brute_force_mad(self):
+        rng = random.Random(151)
+        bands = Counter()
+        while sum(bands.values()) < 200:
+            n = rng.randint(4, 12)
+            g = util.random_graph(rng, n, rng.randint(n, 2 * n))
+            result = color_auto(g, SolveBudget(max_k=12))
+            if result.strategy in ("edgeless", "two-color", "forest", "cycle"):
+                continue
+            mad = util.brute_force_mad(g)
+            band = ("five" if mad < Fraction(20, 7) else "six" if mad < 3
+                    else "eps" if mad < 4 else "exact")
+            assert result.strategy == band
+            bands[band] += 1
+        assert min(bands[b] for b in ("five", "six", "eps", "exact")) >= 5, bands
+
+
+class TestReductionWork:
+    @pytest.mark.parametrize("relabeled", [False, True])
+    def test_two_neighbor_scans_per_vertex(self, monkeypatch, relabeled):
+        # a count, not a time: the ROADMAP corpus at V = 2500 as drawn (its
+        # original vertices come first) and under a seeded relabeling, where
+        # a scan of the degree-2 vertices in index order meets many that do
+        # not match before one that does (about 18 calls per vertex)
+        g = util.roadmap_corpus(1000)
+        if relabeled:
+            perm = list(range(g.n))
+            random.Random(1).shuffle(perm)
+            g = util.relabel(g, perm)
+        calls = []
+        two = constructive._two_neighbors
+        monkeypatch.setattr(
+            constructive, "_two_neighbors", lambda st, v: calls.append(v) or two(st, v)
+        )
+        six_reduction_records(g)
+        assert g.n == 2500 and len(calls) <= 8 * g.n
 
 
 class TestKstarColoring:

@@ -24,7 +24,7 @@ from oddcolor import (
     is_odd_coloring,
     mad_exact,
 )
-from oddcolor import sparsity
+from oddcolor import constructive, sparsity
 
 import util
 
@@ -214,3 +214,33 @@ def test_mad_exact_matches_networkx_min_cut(g):
     assert value < g.m * g.n * below.denominator
     inner = sum(1 for u, v in g.edges() if u in side and v in side)
     assert side and Fraction(inner, len(side)) == w.density
+
+
+def reduction_outcome(reduce, g, *args):
+    try:
+        return reduce(g, *args)
+    except constructive.ReductionExhaustedError as exc:
+        return f"raised: {exc}"
+
+
+def assert_reductions_match_the_rescan(g):
+    # the candidate heaps give the rescan's records, or fail where it fails
+    # (graphs outside an engine's band included)
+    engines = [(constructive._SIX, None), (constructive._FIVE, None)]
+    for eps in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(8, 5)):
+        engines.append((constructive._eps_engine(eps)[0], eps))
+    for rules, eps in engines:
+        got = reduction_outcome(constructive._reduce_all, g, rules)
+        assert got == reduction_outcome(util.reduction_records_by_scan, g, rules, eps)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(graphs((4, 40), (0.8, 1, 1.5, 2, 2.5, 3), subdivide=True))
+def test_reduction_order_on_partial_subdivisions(g):
+    assert_reductions_match_the_rescan(g)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(kernel_graphs(40))
+def test_reduction_order_on_kernel_graphs(g):
+    assert_reductions_match_the_rescan(g)

@@ -67,6 +67,23 @@ class TestMadExact:
             assert mad_exact(g).vertices == util.brute_force_densest_union(g)
 
 
+    def test_flow_without_a_denser_set_is_an_error(self, monkeypatch):
+        # a flow that hands back a set no denser than d would spin the loop;
+        # the fake gives up after 50 calls so that a loop without the check
+        # fails instead of hanging
+        calls = []
+
+        def same_set(g, d):
+            calls.append(d)
+            assert len(calls) <= 50, "mad_exact kept asking for a denser set"
+            return list(range(g.n))
+
+        monkeypatch.setattr(sparsity, "_denser_subgraph", same_set)
+        with pytest.raises(RuntimeError, match="returned a set of density 4/3"):
+            mad_exact(gen_kstar(5))
+        assert calls == [Fraction(4, 3)]
+
+
 class TestMadDecide:
     def test_complete_four(self):
         decision = mad_decide(gen_complete(4), 3)
@@ -166,6 +183,26 @@ class TestMadBelow:
             assert mad_below(g, mad + Fraction(1, 100))
             assert mad_at_most(g, mad)
             assert not mad_at_most(g, mad - Fraction(1, n * n))
+
+    @pytest.mark.parametrize("g, alpha", [
+        (gen_complete(5), 4),  # 2m/n = 4
+        (gen_kstar(6), Fraction(20, 7)),  # 2m/n = 60/21 = 20/7
+        (gen_kstar(7), 3),  # 2m/n = 84/28 = 3
+        (gen_cycle(5), 1),
+        (Graph(3, []), 0),
+        (Graph(3, []), -1),
+    ])
+    def test_no_flow_when_the_whole_graph_reaches_alpha(self, monkeypatch, g, alpha):
+        assert 2 * g.m >= alpha * g.n
+        calls = []
+        monkeypatch.setattr(sparsity, "_denser_subgraph", lambda *a: calls.append(a))
+        assert not mad_below(g, alpha)
+        assert calls == []
+
+    def test_empty_graph_still_rejected(self):
+        for alpha in (-1, 0, 3):
+            with pytest.raises(ValueError):
+                mad_below(Graph(0, []), alpha)
 
 
 class TestFractionalOrientation:

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddcolor import Graph
+from oddcolor import Graph, ReductionExhaustedError, subdivide
+from oddcolor.graph import _Peeler
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -205,3 +206,49 @@ def certified_graphs(rng, count, accept, n_range, m_per_n, extra=()):
         if accept(g):
             out.append(g)
     return out
+
+
+def roadmap_corpus(n: int, seed: int = 1) -> Graph:
+    """floor(3n/2) distinct random edges on n vertices, drawn by rejection
+    sampling from random.Random(seed), then subdivided: V = n + floor(3n/2)."""
+    rng = random.Random(seed)
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < 3 * n // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            chosen.add((min(u, v), max(u, v)))
+    return subdivide(Graph(n, sorted(chosen)))
+
+
+def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:
+    """An engine's deletion sequence by rescanning the whole graph per record.
+
+    rules is an engine's rule table.  For each rule in order, every alive
+    vertex of the rule's degrees is tried in index order and the first match
+    is the next record.  A keyed rule (the eps star) is tried only at the
+    vertex of least charge deg(v) - (1 - eps/2) * (number of 2-neighbors),
+    lowest index on ties, computed here from scratch.
+    """
+    st = _Peeler(g)
+    records = []
+
+    def scan(rule):
+        centers = [v for v in range(g.n) if st.alive[v] and st.deg[v] in rule.degrees]
+        if rule.key is None:
+            return next(filter(None, (rule.match(st, v) for v in centers)), None)
+        if not centers:
+            return None
+        x = 1 - Fraction(eps) / 2
+
+        def charge(v):
+            return st.deg[v] - x * sum(1 for w in st.nbrs(v) if st.deg[w] == 2)
+
+        return rule.match(st, min(centers, key=charge))
+
+    while st.remaining:
+        rec = next(filter(None, map(scan, rules)), None)
+        if rec is None:
+            raise ReductionExhaustedError("no reducible configuration in a non-empty graph")
+        records.append(rec)
+        st.delete(rec.deleted)
+    return records
