@@ -4,8 +4,12 @@ The decision search colors vertices in smallest-last (degeneracy) order and
 enforces two pruning rules: properness at assignment time, and the odd
 condition for any vertex the moment its last neighbor receives a color
 (the odd condition of v depends only on the colors of N(v), so it is fixed
-from that point on).  The first vertex is pinned to color 1; no further
-symmetry breaking is applied.
+from that point on).  Colors are interchangeable, so a vertex takes at most
+one color above the largest used before it in the order (value-symmetry
+breaking).  Components are searched one at a time, so a refutation in one
+never backtracks through the colorings of another; the answer and witness
+are those of a single search over the whole smallest-last order.  Every
+witness is checked with is_odd_coloring before it is returned.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
+from .coloring import is_odd_coloring
 from .graph import Graph
 
 
@@ -91,28 +96,34 @@ def degeneracy_order(g: Graph) -> list[int]:
     return removed
 
 
-def _odd_search(g: Graph, k: int, clock: _BudgetClock) -> ColorableOutcome:
-    """Depth-first search for an odd k-coloring, as one loop so that no
-    recursion limit applies.
+def _odd_search(
+    g: Graph, k: int, order: list[int], state: tuple[list, list, list], colors: list[int],
+    clock: _BudgetClock,
+) -> str:
+    """Depth-first search for an odd k-coloring of one component, given in
+    smallest-last order, as one loop so that no recursion limit applies.
+    On "yes" the component's colors are written into colors.
 
-    tried[i] is the color last tried at depth i of the order (0: none yet);
-    moving back to a depth first undoes it.  For each vertex w, counts[w][c]
-    counts its colored neighbors of color c, odd_size[w] the colors of odd
-    multiplicity among them and uncolored[w] its uncolored neighbors; a
-    color fails when it leaves some neighborhood complete with no odd class.
+    tried[i] is the color last tried at depth i (0: none yet); moving back
+    to a depth first undoes it.  top[i] is the largest color at depths below
+    i.  Colors are interchangeable, so depth i tries only 1..top[i] + 1: a
+    coloring that skips past top[i] + 1 becomes smaller under the swap of
+    the two colors, and the first coloring found is the same as without
+    the rule.  state holds, for each vertex w, counts[w][c], its colored
+    neighbors of color c, odd_size[w], the colors of odd multiplicity among
+    them, and uncolored[w], its uncolored neighbors; a color fails when it
+    leaves some neighborhood complete with no odd class.
     """
-    n, order = g.n, degeneracy_order(g)
-    counts = [[0] * (k + 1) for _ in range(n)]
-    odd_size = [0] * n
-    uncolored = list(g.degrees())
+    counts, odd_size, uncolored = state
+    n = len(order)
     tried = [0] * n
+    top = [0] * (n + 1)
     idx = 0
     while idx >= 0:
         if idx == n:
-            colors = [0] * n
             for v, c in zip(order, tried):
                 colors[v] = c
-            return ColorableOutcome("yes", tuple(colors), clock.nodes)
+            return "yes"
         v = order[idx]
         nbrs = g.neighbors(v)
         c = tried[idx]
@@ -123,11 +134,11 @@ def _odd_search(g: Graph, k: int, clock: _BudgetClock) -> ColorableOutcome:
                 odd_size[w] += 1 if cw[c] % 2 else -1
                 uncolored[w] += 1
         counts_v = counts[v]
-        for c in range(c + 1, (k if idx else 1) + 1):
+        for c in range(c + 1, min(top[idx] + 1, k) + 1):
             if counts_v[c]:
                 continue
             if not clock.spend():
-                return ColorableOutcome("budget-exceeded", nodes=clock.nodes)
+                return "budget-exceeded"
             tried[idx] = c
             ok = True
             for w in nbrs:
@@ -138,19 +149,57 @@ def _odd_search(g: Graph, k: int, clock: _BudgetClock) -> ColorableOutcome:
                 if uncolored[w] == 0 and odd_size[w] == 0:
                     ok = False  # finish the updates: the undo above reverses them all
             if ok:
+                top[idx + 1] = max(top[idx], c)
                 idx += 1
             break  # on failure, the undo above runs and the next color follows
         else:
             tried[idx] = 0
             idx -= 1
-    return ColorableOutcome("no", nodes=clock.nodes)
+    return "no"
+
+
+def _component_orders(g: Graph) -> list[list[int]]:
+    """The smallest-last order split by component, components ordered by
+    smallest vertex.
+
+    Ties in the order break by index, so the restriction of the order to a
+    component is that component's own smallest-last order.
+    """
+    comps = g.components()
+    label = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            label[v] = i
+    orders: list[list[int]] = [[] for _ in comps]
+    for v in degeneracy_order(g):
+        orders[label[v]].append(v)
+    return orders
+
+
+def _decide(g: Graph, k: int, orders: list[list[int]], clock: _BudgetClock) -> ColorableOutcome:
+    """Odd k-colorability, one component at a time in the given order,
+    stopping at the first that is not colorable.
+
+    Each component gets the first odd coloring in its own order, so the
+    whole coloring is the first one in the interleaved order too.  It is
+    checked with is_odd_coloring before it is returned.
+    """
+    state = ([[0] * (k + 1) for _ in range(g.n)], [0] * g.n, list(g.degrees()))
+    colors = [0] * g.n
+    for order in orders:
+        status = _odd_search(g, k, order, state, colors, clock)
+        if status != "yes":
+            return ColorableOutcome(status, nodes=clock.nodes)
+    if not is_odd_coloring(g, colors)[0]:
+        raise RuntimeError(f"the exact search produced an invalid odd {k}-coloring")
+    return ColorableOutcome("yes", tuple(colors), clock.nodes)
 
 
 def odd_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> ColorableOutcome:
     """Decide whether g admits an odd coloring with k colors."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _odd_search(g, k, _BudgetClock(budget))
+    return _decide(g, k, _component_orders(g), _BudgetClock(budget))
 
 
 def _clique_lower_bound(g: Graph) -> int:
@@ -178,11 +227,12 @@ def odd_chromatic_number(
         return 0, ()
     budget = budget or SolveBudget()
     clock = _BudgetClock(budget)
+    orders = _component_orders(g)
     k = _clique_lower_bound(g)
     while True:
         if budget.max_k is not None and k > budget.max_k:
             raise BudgetExceededError(f"no odd coloring with at most {budget.max_k} colors found")
-        outcome = _odd_search(g, k, clock)
+        outcome = _decide(g, k, orders, clock)
         if outcome.status == "yes":
             assert outcome.coloring is not None
             return k, outcome.coloring

@@ -300,6 +300,20 @@ class TestErrorsAndDeterminism:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: internal: {type(exc).__name__}: ")
 
+    def test_invalid_exact_witness_is_one_line(self, monkeypatch, capsys):
+        # a search that assembles an improper coloring is caught before output
+        def all_ones(g, k, order, state, colors, clock):
+            for v in order:
+                colors[v] = 1
+            return "yes"
+
+        monkeypatch.setattr(oddcolor.exact, "_odd_search", all_ones)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(oddcolor.gen_kstar(5))))
+        assert cli.main(["exact"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: internal: RuntimeError: ")
+
     def test_faulty_flow_is_one_line(self, monkeypatch, capsys):
         # a flow that never finds a denser set makes mad_exact fail, not hang
         calls = []

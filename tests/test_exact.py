@@ -1,4 +1,8 @@
+import io
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +21,18 @@ from oddcolor import (
     is_odd_coloring,
     odd_chromatic_number,
     odd_colorable,
+    serialize_graph,
     subdivide,
 )
+from oddcolor import cli
 
 import util
+
+
+def shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return util.relabel(g, perm)
 
 
 class TestOddColorable:
@@ -56,6 +68,19 @@ class TestOddColorable:
         assert out.status == "budget-exceeded"
         assert out.coloring is None
 
+    def test_kstar_five_refutation_nodes(self):
+        # needs value-symmetry breaking: pinning only the first vertex takes 10198
+        out = odd_colorable(gen_kstar(5), 4)
+        assert out.status == "no" and out.nodes <= 2000
+
+    def test_union_refutes_within_its_hardest_component(self):
+        # with one interleaved order the cycles multiplied the kstar's
+        # refutation: over 20M nodes without an answer
+        alone = odd_colorable(gen_kstar(5), 4).nodes
+        g = util.disjoint_union(gen_kstar(5), gen_cycle(7), gen_cycle(10))
+        out = odd_colorable(g, 4, SolveBudget(node_limit=alone))
+        assert out.status == "no" and out.nodes == alone
+
 
 class TestOddChromaticNumber:
     def test_cycle_table(self):
@@ -81,15 +106,35 @@ class TestOddChromaticNumber:
             assert k == n
             assert is_odd_coloring(gen_kstar(n), witness)[0]
 
+    @staticmethod
+    def random_union(rng):
+        """2-3 random parts of at most 6 vertices, 8 in total, relabeled."""
+        while True:
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 3))]
+            if sum(sizes) <= 8:  # the brute-force oracle's limit
+                break
+        g = util.disjoint_union(*(util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+                                  for n in sizes))
+        return shuffled(g, rng.randrange(2**32))
+
     def test_matches_brute_force(self):
         rng = random.Random(67)
+        graphs = []
         for _ in range(80):
             n = rng.randint(1, 6)
-            g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+            graphs.append(util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+        rng = random.Random(73)
+        graphs += [self.random_union(rng) for _ in range(300)]
+        for g in graphs:
+            chi = util.brute_force_odd_chromatic(g)
             k, witness = odd_chromatic_number(g)
-            assert k == util.brute_force_odd_chromatic(g)
-            if n:
-                assert is_odd_coloring(g, witness)[0]
+            assert k == chi
+            assert util.odd_coloring_by_definition(g, list(witness))
+            if chi > 1:
+                assert odd_colorable(g, chi - 1).status == "no"
+            out = odd_colorable(g, chi)
+            assert out.status == "yes"
+            assert util.odd_coloring_by_definition(g, list(out.coloring))
 
     def test_max_k_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -163,3 +208,59 @@ class TestDegeneracyOrder:
     ])
     def test_matches_quadratic_scan(self, name, g):
         assert degeneracy_order(g) == util.degeneracy_order_by_scan(g)
+
+
+# ---------------------------------------------------------------------------
+# Golden answers of the exact solver
+
+GOLDEN = Path(__file__).parent / "data" / "exact_golden.json"
+
+
+def exact_golden_corpus():
+    """kstars, cycles, a cycle with leaves, relabeled kstar(5) copies, seeded
+    random graphs and small disjoint unions, some of them relabeled."""
+    union = util.disjoint_union
+    corpus = [(f"kstar-{n}", gen_kstar(n)) for n in (3, 4, 5)]
+    corpus += [(f"cycle-{n}", gen_cycle(n)) for n in (*range(3, 11), 300)]
+    corpus.append(("cycle-leaves-9-1,1,1", gen_cycle_with_leaves(9, (1, 1, 1))))
+    corpus += [(f"kstar-5-relabeled-{s}", shuffled(gen_kstar(5), s)) for s in range(8)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(10, 16)
+        corpus.append((f"random-{seed}", util.random_graph(rng, n, rng.randint(n, 3 * n))))
+    unions = [
+        ("C5+C7", union(gen_cycle(5), gen_cycle(7))),
+        ("kstar-4+C6", union(gen_kstar(4), gen_cycle(6))),
+        ("kstar-3+P4+K1", union(gen_kstar(3), gen_path(4), Graph(1, []))),
+        ("C3+C4+C5", union(gen_cycle(3), gen_cycle(4), gen_cycle(5))),
+        ("kstar-3+kstar-3", union(gen_kstar(3), gen_kstar(3))),
+        ("P3+C9", union(gen_path(3), gen_cycle(9))),
+        ("C5+kstar-3", union(gen_cycle(5), gen_kstar(3))),
+        ("K4+C5", union(gen_complete(4), gen_cycle(5))),
+        ("star-4+C7", union(gen_star(4), gen_cycle(7))),
+        ("kstar-4+C5", union(gen_kstar(4), gen_cycle(5))),
+        ("C7+C7", union(gen_cycle(7), gen_cycle(7))),
+    ]
+    corpus += unions
+    corpus += [(f"{name}-relabeled", shuffled(g, i)) for i, (name, g) in enumerate(unions[:4])]
+    return corpus
+
+
+class TestExactGolden:
+    # recorded before the search broke value symmetry and solved one
+    # component at a time; chi_o, the witness and the CLI output must not change
+    def test_corpus_matches_recording(self):
+        expected = json.loads(GOLDEN.read_text())
+        assert [(name, g.n, g.m) for name, g in exact_golden_corpus()] == [
+            (e["graph"], e["n"], e["m"]) for e in expected]
+
+    def test_chi_and_witness_unchanged(self):
+        for (name, g), want in zip(exact_golden_corpus(), json.loads(GOLDEN.read_text())):
+            k, witness = odd_chromatic_number(g)
+            assert (k, list(witness)) == (want["chi_o"], want["colors"]), name
+
+    def test_cli_stdout_unchanged(self, monkeypatch, capsys):
+        for (name, g), want in zip(exact_golden_corpus(), json.loads(GOLDEN.read_text())):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(g)))
+            assert cli.main(["exact"]) == 0
+            assert capsys.readouterr().out == want["stdout"], name

@@ -28,6 +28,15 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each shifted past the vertices of those before it."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
