@@ -121,7 +121,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
         else:  # eps
             if args.epsilon is None:
                 raise _UsageError("--strategy eps requires --epsilon p/q")
-            result = constructive.color_eps(g, parse_rational(args.epsilon))
+            eps = parse_rational(args.epsilon)
+            if not 0 < eps <= Fraction(8, 5):
+                raise _UsageError("--epsilon must satisfy 0 < eps <= 8/5")
+            result = constructive.color_eps(g, eps)
     except (exact.BudgetExceededError, ValueError) as exc:
         # budget gone, or strategy precondition not met (wrong density, not a forest/cycle)
         print(f"error: {exc}", file=sys.stderr)

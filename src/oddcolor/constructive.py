@@ -17,15 +17,21 @@ An engine is an ordered table of rules, one per reducible configuration of
 the paper's discharging argument.  A rule names the current degrees its
 center may have and a match function that returns the configuration's
 record at a vertex, or None.  The first rule that matches wins, at its
-lowest-indexed vertex, so reductions are fully deterministic.  The eps
+lowest-indexed vertex, so reductions are fully deterministic; the eps
 engine ends in one rule keyed by charge, which picks the degree-4+ vertex
 of least charge.  Each rule keeps a lazily checked heap of candidate
-centers; a deletion pushes only the vertices within the rule's reach whose
-degree, or a neighbour's, fell (``_Candidates``).  The 5-color engine
-keeps its two 4v-weak rules as separate rows: every center the first (four
-2-neighbors) accepts, the second (a 2-neighbor and only weak neighbors)
-accepts too, so one merged row would pick the lowest center of either
-shape and change the reduction sequence.
+centers; a deletion pushes only the vertices within the rule's reach (its
+wake) whose degree, or a neighbour's, fell (``_Candidates``).
+
+Most rows are plain stars built by ``_star`` from counts: a center with at
+least t 2-neighbors, or at least w neighbors of degree at most 3, deleted
+with some of its 2-neighbors; the row's wake follows from those counts.
+Three rows keep a match function and a wake of their own: 3v-weak-pair
+(its protect set), adjacent-4v (two centers) and the eps star (its charge
+key and bound checks).  The 5-color engine keeps its two 4v-weak rows
+separate: every center the first (four 2-neighbors) accepts, the second (a
+2-neighbor and only weak neighbors) accepts too, so one merged row would
+pick the lowest center of either shape and change the reduction sequence.
 
 Every record kind except adjacent-4v is a star: a center, colored first,
 and some of its degree-2 neighbors.  One replay colors all of them, driven
@@ -100,8 +106,9 @@ class _Rule(NamedTuple):
 
     degrees: the current degrees a center may have.  match: the
     configuration's record at a center, or None.  wake: the degrees a
-    neighbour of a center may fall to and thereby make it match; far: the
-    same holds for the neighbours of a neighbour of the center's degree.
+    neighbour of a center may fall to and thereby make it match (``_star``
+    derives it from its counts); far: the same holds for the neighbours of
+    a neighbour of the center's degree.
     key: the integer a center is chosen by, least first; rules without one
     take their lowest-indexed center.
     """
@@ -133,32 +140,23 @@ def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRe
 # Configurations: each matches at a center v of the degree its rule names
 
 
-def _leaf(st: _Peeler, v: int) -> ReductionRecord:
-    return _star_record("leaf", st, v, [])
+def _star(kind: str, degrees: Container[int], twos: int = 0,
+          take: int | None = None, weak: int = 0) -> _Rule:
+    """Rule whose centers have at least twos 2-neighbors and at least weak
+    neighbors of degree at most 3; it deletes the center with its first
+    take 2-neighbors (all of them when take is None).  Its wake follows
+    from the counts it reads.  A row that neither counts nor takes
+    2-neighbors never scans for them: leaf and three-vertex match often."""
 
+    def match(st: _Peeler, v: int) -> ReductionRecord | None:
+        ws = _two_neighbors(st, v) if twos or take != 0 else []
+        if len(ws) < twos:
+            return None
+        if weak and sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < weak:
+            return None
+        return _star_record(kind, st, v, ws[:take])
 
-def _three_vertex(st: _Peeler, v: int) -> ReductionRecord:
-    return _star_record("three-vertex", st, v, [])
-
-
-def _adjacent_two(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    return _star_record("adjacent-2", st, v, twos[:1]) if twos else None
-
-
-def _three_with_two(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    return _star_record("3v-with-2nbr", st, v, twos[:1]) if twos else None
-
-
-def _four_three_twos(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    return _star_record("4v-three-2nbrs", st, v, twos[:3]) if len(twos) >= 3 else None
-
-
-def _five_five_twos(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    return _star_record("5v-five-2nbrs", st, v, twos) if len(twos) == 5 else None
+    return _Rule(degrees, match, wake=(2, 3) if weak else (2,) if twos else ())
 
 
 def _three_weak_pair(st: _Peeler, v: int) -> ReductionRecord | None:
@@ -170,18 +168,6 @@ def _three_weak_pair(st: _Peeler, v: int) -> ReductionRecord | None:
     if len(surv) == 1:
         protect.add(surv[0])
     return replace(rec, protect=tuple(sorted(protect)))
-
-
-def _four_weak_all_twos(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    return _star_record("4v-weak", st, v, twos) if len(twos) == 4 else None
-
-
-def _four_weak(st: _Peeler, v: int) -> ReductionRecord | None:
-    twos = _two_neighbors(st, v)
-    if twos and all(st.deg[w] <= 3 for w in st.nbrs(v)):
-        return _star_record("4v-weak", st, v, twos)
-    return None
 
 
 def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
@@ -201,31 +187,34 @@ def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
     return ReductionRecord("adjacent-4v", deleted, frontier)
 
 
-# Rule tables, in priority order.  A rule's wake lists the new degrees of a
-# neighbour whose drop can make a center start matching: 2 where the rule
-# counts 2-neighbors, 2 and 3 where it counts weak neighbours, 4 for
-# adjacent-4v's partner, which also reaches one step further (far).  A drop
-# to 1 needs no wake: the leaf rule deletes that neighbour before any other
-# rule runs, and the deletion wakes the center itself.
+# Rule tables, in priority order.  _star rows derive their wakes; the rest
+# are written by hand.  3v-weak-pair counts weak neighbours, so a neighbour
+# falling to 2 or 3 can make it match.  adjacent-4v also wakes on its partner
+# falling to 4, and far carries a wake one step on: a new 2-neighbour of the
+# partner wakes the center too.  A drop to 1 needs no wake: the leaf rule
+# deletes that neighbour before any other rule runs, and the deletion wakes
+# the center itself.
+_LEAF = _star("leaf", (0, 1), take=0)
+_ADJACENT_TWO = _star("adjacent-2", (2,), twos=1, take=1)
 _SIX = (
-    _Rule((0, 1), _leaf),
-    _Rule((2,), _adjacent_two, wake=(2,)),
-    _Rule((3,), _three_with_two, wake=(2,)),
-    _Rule((4,), _four_three_twos, wake=(2,)),
-    _Rule((5,), _five_five_twos, wake=(2,)),
+    _LEAF,
+    _ADJACENT_TWO,
+    _star("3v-with-2nbr", (3,), twos=1, take=1),
+    _star("4v-three-2nbrs", (4,), twos=3, take=3),
+    _star("5v-five-2nbrs", (5,), twos=5),
 )
 _FIVE = (
-    _Rule((0, 1), _leaf),
-    _Rule((2,), _adjacent_two, wake=(2,)),
+    _LEAF,
+    _ADJACENT_TWO,
     _Rule((3,), _three_weak_pair, wake=(2, 3)),
-    _Rule((4,), _four_weak_all_twos, wake=(2,)),
-    _Rule((4,), _four_weak, wake=(2, 3)),
+    _star("4v-weak", (4,), twos=4),
+    _star("4v-weak", (4,), twos=1, weak=4),
     _Rule((4,), _adjacent_four, wake=(2, 4), far=True),
 )
 _EPS_RULES = (
-    _Rule((0, 1), _leaf),
-    _Rule((3,), _three_vertex),
-    _Rule((2,), _adjacent_two, wake=(2,)),
+    _LEAF,
+    _star("three-vertex", (3,), take=0),
+    _ADJACENT_TWO,
 )
 
 

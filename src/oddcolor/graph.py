@@ -334,14 +334,7 @@ def gen_kstar(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError("gen_kstar needs n >= 1")
-    edges = []
-    s = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, s))
-            edges.append((j, s))
-            s += 1
-    return Graph(n * (n + 1) // 2, edges)
+    return subdivide(gen_complete(n))
 
 
 def subdivide(h: Graph) -> Graph:

@@ -185,6 +185,16 @@ class TestColorVerify:
         graph = chain(["gen", "kstar", "7"])
         proc = run(["color", "--strategy", "five"], stdin=graph)
         assert proc.returncode == 1
+        # in range, but kstar(7) has mad 3 > 4 - 8/5
+        proc = run(["color", "--strategy", "eps", "--epsilon", "8/5"], stdin=graph)
+        assert proc.returncode == 1 and proc.stderr.startswith("error: mad(G) exceeds")
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "9/5"])
+    def test_epsilon_out_of_range_is_usage_error(self, epsilon):
+        graph = chain(["gen", "kstar", "7"])
+        proc = run(["color", "--strategy", "eps", "--epsilon", epsilon], stdin=graph)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_dense_graph_without_budget(self):
         dimacs = "p edge 5 10\n" + "\n".join(
