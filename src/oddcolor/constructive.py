@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import Callable, Container, NamedTuple
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
-from .exact import SolveBudget, odd_chromatic_number
+from .exact import SolveBudget, cycle_chi, odd_chromatic_number
 from .graph import Graph, _Peeler, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
 
@@ -484,17 +484,6 @@ def color_forest(g: Graph) -> ColoringResult:
                 _add_unique_odd(avoid, pc, w)
         pc.assign(v, choose_color(avoid, 3))
     return _finish(g, tuple(pc.color), 3, "forest")
-
-
-def cycle_chi(n: int) -> int:
-    """Odd chromatic number of the n-cycle: 3 if 3 | n, 5 if n = 5, else 4."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    if n % 3 == 0:
-        return 3
-    if n == 5:
-        return 5
-    return 4
 
 
 def _cycle_pattern(n: int) -> list[int]:

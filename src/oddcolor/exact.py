@@ -1,15 +1,17 @@
 """Exact odd chromatic number by backtracking.
 
-The decision search colors vertices in smallest-last (degeneracy) order and
-enforces two pruning rules: properness at assignment time, and the odd
-condition for any vertex the moment its last neighbor receives a color
-(the odd condition of v depends only on the colors of N(v), so it is fixed
-from that point on).  Colors are interchangeable, so a vertex takes at most
-one color above the largest used before it in the order (value-symmetry
-breaking).  Components are searched one at a time, so a refutation in one
-never backtracks through the colorings of another; the answer and witness
-are those of a single search over the whole smallest-last order.  Every
-witness is checked with is_odd_coloring before it is returned.
+The decision search colors vertices in smallest-last (degeneracy) order.
+A vertex may not take a color on its neighborhood, nor, as in the paper's
+replays, the unique odd color of a neighbor whose only uncolored neighbor it
+is; so every neighborhood is odd once it is fully colored.  The search
+counts the reasons that ban each color at each vertex and checks forward: a
+color fails when it leaves an uncolored vertex no free color, or one that an
+uncolored neighbor also has as its only one.  A vertex takes at most one
+color above the largest used before it (value-symmetry breaking).  Each
+component is searched on its own.  odd_chromatic_number starts k at a lower
+bound (greedy clique, 2-color test, cycle components).  All of this cuts
+only dead branches: the answer and witness are those of a plain search over
+the smallest-last order, checked with is_odd_coloring.
 """
 
 from __future__ import annotations
@@ -72,6 +74,17 @@ class _BudgetClock:
         return True
 
 
+def cycle_chi(n: int) -> int:
+    """Odd chromatic number of the n-cycle: 3 if 3 | n, 5 if n = 5, else 4."""
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
+    if n % 3 == 0:
+        return 3
+    if n == 5:
+        return 5
+    return 4
+
+
 def degeneracy_order(g: Graph) -> list[int]:
     """Smallest-last vertex order: repeatedly remove a minimum-degree vertex
     (ties by lowest index) and place it at the end.
@@ -97,65 +110,86 @@ def degeneracy_order(g: Graph) -> list[int]:
 
 
 def _odd_search(
-    g: Graph, k: int, order: list[int], state: tuple[list, list, list], colors: list[int],
+    g: Graph, k: int, order: list[int], state: tuple[list, ...], colors: list[int],
     clock: _BudgetClock,
 ) -> str:
     """Depth-first search for an odd k-coloring of one component, given in
     smallest-last order, as one loop so that no recursion limit applies.
-    On "yes" the component's colors are written into colors.
 
-    tried[i] is the color last tried at depth i (0: none yet); moving back
-    to a depth first undoes it.  top[i] is the largest color at depths below
-    i.  Colors are interchangeable, so depth i tries only 1..top[i] + 1: a
-    coloring that skips past top[i] + 1 becomes smaller under the swap of
-    the two colors, and the first coloring found is the same as without
-    the rule.  state holds, for each vertex w, counts[w][c], its colored
-    neighbors of color c, odd_size[w], the colors of odd multiplicity among
-    them, and uncolored[w], its uncolored neighbors; a color fails when it
-    leaves some neighborhood complete with no odd class.
+    colors is the partial coloring (0: uncolored); colors[order[i]] is the
+    color last tried at depth i, and moving back to a depth first undoes it.
+    top[i] is the largest color at depths below i; depth i tries only
+    1..top[i] + 1, as a coloring that skips past it becomes smaller under the
+    swap of the two colors.  Per vertex w, state holds ban[w][c], the reasons
+    w may not take c (colored neighbors of color c, and neighbors x with
+    last[x] = w, uncolored[x] 1 and odd[x] = {c}); free[w], the bitmask of
+    colors with no ban; odd[w], the bitmask of odd classes among its colored
+    neighbors; uncolored[w]; and last[w], its neighbor latest in the order.
     """
-    counts, odd_size, uncolored = state
+    ban, free, odd, uncolored, last = state
+    for v in order:
+        for w in g.neighbors(v):
+            last[w] = v
     n = len(order)
-    tried = [0] * n
     top = [0] * (n + 1)
     idx = 0
     while idx >= 0:
         if idx == n:
-            for v, c in zip(order, tried):
-                colors[v] = c
             return "yes"
         v = order[idx]
         nbrs = g.neighbors(v)
-        c = tried[idx]
+        c = colors[v]
         if c:
+            bit = 1 << c
             for w in nbrs:
-                cw = counts[w]
-                cw[c] -= 1
-                odd_size[w] += 1 if cw[c] % 2 else -1
+                m = odd[w]
+                if uncolored[w] == 1 and m and not m & (m - 1):
+                    u, cu = last[w], m.bit_length() - 1
+                    ban[u][cu] -= 1
+                    if not ban[u][cu]:
+                        free[u] |= m
+                ban[w][c] -= 1
+                if not ban[w][c]:
+                    free[w] |= bit
+                odd[w] = m ^ bit
                 uncolored[w] += 1
-        counts_v = counts[v]
         for c in range(c + 1, min(top[idx] + 1, k) + 1):
-            if counts_v[c]:
+            if ban[v][c]:
                 continue
             if not clock.spend():
                 return "budget-exceeded"
-            tried[idx] = c
+            colors[v] = c
+            bit = 1 << c
             ok = True
             for w in nbrs:
-                cw = counts[w]
-                cw[c] += 1
-                odd_size[w] += 1 if cw[c] % 2 else -1
+                bw = ban[w]
+                if not bw[c]:
+                    f = free[w] = free[w] ^ bit
+                    if not f & (f - 1) and not colors[w] and _stuck(g, w, f, free, colors):
+                        ok = False  # finish the updates: the undo above reverses them all
+                bw[c] += 1
+                m = odd[w] = odd[w] ^ bit
                 uncolored[w] -= 1
-                if uncolored[w] == 0 and odd_size[w] == 0:
-                    ok = False  # finish the updates: the undo above reverses them all
+                if uncolored[w] == 1 and m and not m & (m - 1):
+                    u, cu = last[w], m.bit_length() - 1
+                    if not ban[u][cu]:
+                        f = free[u] = free[u] ^ m
+                        if not f & (f - 1) and _stuck(g, u, f, free, colors):
+                            ok = False
+                    ban[u][cu] += 1
             if ok:
                 top[idx + 1] = max(top[idx], c)
                 idx += 1
             break  # on failure, the undo above runs and the next color follows
         else:
-            tried[idx] = 0
+            colors[v] = 0
             idx -= 1
     return "no"
+
+
+def _stuck(g: Graph, u: int, f: int, free: list[int], colors: list[int]) -> bool:
+    """Uncolored u has no free color (f = 0), or one that an uncolored neighbor has alone."""
+    return not f or any(free[x] == f and not colors[x] for x in g.neighbors(u))
 
 
 def _component_orders(g: Graph) -> list[list[int]]:
@@ -184,7 +218,8 @@ def _decide(g: Graph, k: int, orders: list[list[int]], clock: _BudgetClock) -> C
     whole coloring is the first one in the interleaved order too.  It is
     checked with is_odd_coloring before it is returned.
     """
-    state = ([[0] * (k + 1) for _ in range(g.n)], [0] * g.n, list(g.degrees()))
+    state = ([[0] * (k + 1) for _ in range(g.n)], [(1 << (k + 1)) - 2] * g.n,
+             [0] * g.n, list(g.degrees()), [0] * g.n)
     colors = [0] * g.n
     for order in orders:
         status = _odd_search(g, k, order, state, colors, clock)
@@ -202,15 +237,21 @@ def odd_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> Colora
     return _decide(g, k, _component_orders(g), _BudgetClock(budget))
 
 
-def _clique_lower_bound(g: Graph) -> int:
-    """Size of the largest clique grown greedily from any one vertex."""
-    best = 1
+def _lower_bound(g: Graph, orders: list[list[int]]) -> int:
+    """The largest greedy clique, at least 3 if g fails the exact 2-color test
+    (bipartite, all degrees 0 or odd), at least cycle_chi of cycle components."""
+    deg = g.degrees()
+    best = 3 if any(d and d % 2 == 0 for d in deg) or g.bipartition() is None else 1
+    for order in orders:
+        if all(deg[v] == 2 for v in order):
+            best = max(best, cycle_chi(len(order)))
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     for v in range(g.n):
-        clique = [v]
+        clique, common = 1, nbrs[v]  # common: the neighbors of every member
         for w in g.neighbors(v):
-            if all(g.has_edge(w, u) for u in clique):
-                clique.append(w)
-        best = max(best, len(clique))
+            if w in common:
+                clique, common = clique + 1, common & nbrs[w]
+        best = max(best, clique)
     return best
 
 
@@ -219,16 +260,15 @@ def odd_chromatic_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest k admitting an odd coloring, with a witness coloring.
 
-    Searches k upward from a greedy clique lower bound; k = n always
-    succeeds (all-distinct colors are an odd coloring).  Raises
-    BudgetExceededError if the budget runs out before certainty.
+    Searches k upward from _lower_bound; k = n always succeeds (n distinct
+    colors are odd).  Raises BudgetExceededError if the budget runs out first.
     """
     if g.n == 0:
         return 0, ()
     budget = budget or SolveBudget()
     clock = _BudgetClock(budget)
     orders = _component_orders(g)
-    k = _clique_lower_bound(g)
+    k = _lower_bound(g, orders)
     while True:
         if budget.max_k is not None and k > budget.max_k:
             raise BudgetExceededError(f"no odd coloring with at most {budget.max_k} colors found")

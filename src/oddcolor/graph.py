@@ -267,18 +267,17 @@ def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for forests.
 
-    Runs a breadth-first search from every vertex; the first non-tree edge
-    seen at depth d closes a cycle of length at most 2d+1, so each search
-    stops once it can no longer improve the best cycle found so far.
+    Breadth-first search from every vertex, each undoing only what it set:
+    the first non-tree edge seen at depth d closes a cycle of length at most
+    2d+1, so a search stops once it cannot beat the best cycle found so far.
     """
     best: int | None = None
+    dist = [-1] * g.n
+    parent = [-1] * g.n
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        queue = [s]
+        for u in queue:  # a list grown while it is walked: a FIFO queue
             if best is not None and 2 * dist[u] >= best:
                 break
             for w in g.neighbors(u):
@@ -290,6 +289,8 @@ def girth(g: Graph) -> int | None:
                     cand = dist[u] + dist[w] + 1
                     if best is None or cand < best:
                         best = cand
+        for v in queue:
+            dist[v] = parent[v] = -1
     return best
 
 

@@ -24,7 +24,7 @@ from oddcolor import (
     serialize_graph,
     subdivide,
 )
-from oddcolor import cli
+from oddcolor import cli, exact
 
 import util
 
@@ -69,9 +69,22 @@ class TestOddColorable:
         assert out.coloring is None
 
     def test_kstar_five_refutation_nodes(self):
-        # needs value-symmetry breaking: pinning only the first vertex takes 10198
+        # pinning only the first vertex takes 10198 nodes, value-symmetry
+        # breaking 1702, and banning unique odd colors with forward checking 128
         out = odd_colorable(gen_kstar(5), 4)
-        assert out.status == "no" and out.nodes <= 2000
+        assert out.status == "no" and out.nodes == 128
+
+    def test_kstar_six_refutation_nodes(self):
+        # 4324710 nodes without the odd-color bans and forward checking
+        out = odd_colorable(gen_kstar(6), 5)
+        assert out.status == "no" and out.nodes == 19501
+
+    def test_refutation_stops_at_two_neighbors_left_one_same_color(self):
+        # without the check that two adjacent uncolored vertices do not share
+        # their only free color, refuting 5 colors here takes 131 nodes
+        g = util.random_graph(random.Random(14), 22, 104)
+        out = odd_colorable(g, 5)
+        assert out.status == "no" and out.nodes == 38
 
     def test_union_refutes_within_its_hardest_component(self):
         # with one interleaved order the cycles multiplied the kstar's
@@ -135,6 +148,27 @@ class TestOddChromaticNumber:
             out = odd_colorable(g, chi)
             assert out.status == "yes"
             assert util.odd_coloring_by_definition(g, list(out.coloring))
+
+    @pytest.mark.parametrize("g, chi", [
+        (gen_cycle(899), 4),  # cycle_chi: never refuted at 3
+        (gen_cycle_with_leaves(9, (1, 1, 1)), 3),  # odd cycle, clique 2: never refuted at 2
+    ])
+    def test_lower_bound_spends_no_refutation_nodes(self, g, chi):
+        found = odd_colorable(g, chi).nodes
+        assert odd_chromatic_number(g, SolveBudget(node_limit=found))[0] == chi
+
+    def test_lower_bound_is_a_lower_bound(self):
+        rng = random.Random(79)
+        for i in range(300):
+            if i % 2:  # a random part beside a cycle
+                n = rng.randint(1, 5)
+                g = util.disjoint_union(util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)),
+                                        gen_cycle(rng.randint(3, 8 - n)))
+                g = shuffled(g, rng.randrange(2**32))
+            else:  # sparse enough for the oracle's k <= 6
+                n = rng.randint(1, 8)
+                g = util.random_graph(rng, n, rng.randint(0, min(2 * n, n * (n - 1) // 2)))
+            assert exact._lower_bound(g, exact._component_orders(g)) <= util.brute_force_odd_chromatic(g)
 
     def test_max_k_budget(self):
         with pytest.raises(BudgetExceededError):
