@@ -16,6 +16,7 @@ unreadable input or unwritable output path.  Rational options are exact
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -223,6 +224,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddcolor",
@@ -285,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, ValueError) as exc:

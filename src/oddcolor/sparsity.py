@@ -16,6 +16,9 @@ That one flow answers every threshold question here; when it saturates
 the source arcs, its edge flows are a fractional orientation with every
 indegree at most d (Hakimi 1965).  The exact mad is a Dinkelbach (1967)
 iteration of it that jumps from each found set's density to the next.
+Dinic's first phase on this network is known in closed form: every vertex
+sits at level 1 and the sink at 2, so it sends min(source, sink capacity)
+along each s->v->t.  That flow is written in place as the arcs are built.
 
 From d = 1 on, the flow runs on a kernel of the graph instead, with the
 same answer.  Take the minimal maximiser S of q*|E(S)| - p*|S|.  A vertex
@@ -43,7 +46,6 @@ takes 1/2 each way.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -89,7 +91,9 @@ class MadDecision:
 
 
 class _Dinic:
-    """Max flow on integer capacities (Dinic's algorithm, iterative DFS)."""
+    """Max flow on integer capacities (Dinic's algorithm, iterative DFS).
+    The caller fills head[u] (arc ids out of u, in the order the DFS tries
+    them), to and cap (residual capacity); arc eid's reverse twin is eid ^ 1."""
 
     def __init__(self, size: int):
         self.size = size
@@ -98,75 +102,63 @@ class _Dinic:
         self.cap: list[int] = []
         self.level: list[int] = []  # the last BFS of max_flow; -1: unreached
 
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        """Add arc u->v with capacity c (id len(to)) and its residual twin."""
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
 
     def _levels(self, s: int) -> list[int]:
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.size
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] == -1:
-                    level[v] = level[u] + 1
+        queue = [s]
+        for u in queue:  # grows as it is read: breadth-first order
+            below = level[u] + 1
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 0 and level[v] == -1:
+                    level[v] = below
                     queue.append(v)
         return level
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        head, to, cap = self.head, self.to, self.cap
         path: list[int] = []
         u = s
-        while True:
-            if u == t:
-                pushed = min(self.cap[eid] for eid in path)
-                for eid in path:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                return pushed
-            moved = False
-            while it[u] < len(self.head[u]):
-                eid = self.head[u][it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    moved = True
+        while u != t:
+            arcs, i, below = head[u], it[u], level[u] + 1
+            n = len(arcs)
+            while i < n:
+                eid = arcs[i]
+                if cap[eid] > 0 and level[to[eid]] == below:
                     break
-                it[u] += 1
-            if not moved:
-                level[u] = -1
-                if not path:
-                    return 0
-                eid = path.pop()
-                u = self.to[eid ^ 1]
-                it[u] += 1
+                i += 1
+            it[u] = i
+            if i < n:
+                path.append(eid)
+                u = to[eid]
+                continue
+            level[u] = -1
+            if not path:
+                return 0
+            u = to[path.pop() ^ 1]
+            it[u] += 1
+        pushed = min([cap[eid] for eid in path])
+        for eid in path:
+            cap[eid] -= pushed
+            cap[eid ^ 1] += pushed
+        return pushed
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Value of a maximum s-t flow.  The last BFS, the one that no longer
+    def max_flow(self, s: int, t: int, total: int = 0) -> int:
+        """Value of a maximum s-t flow, given the value `total` of the flow
+        already in the network.  The last BFS, the one that no longer
         reaches t, stays in self.level: its reached vertices are the source
         side of the minimal min cut."""
-        total = 0
         while True:
             level = self._levels(s)
             if level[t] == -1:
                 self.level = level
                 return total
             it = [0] * self.size
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed == 0:
-                    break
+            while pushed := self._augment(s, t, level, it):
                 total += pushed
 
 
@@ -246,7 +238,8 @@ def _goldberg(g: Graph, d: Fraction) -> _Network:
     chain that returns to v counts twice: a vertex weight).  Each kept chain
     between two vertices gets an arc of its weight both ways, so parallel
     chains add up.  Arc ids are fixed by construction: four per kernel
-    vertex, then four per such chain in kept order.
+    vertex, then four per such chain in kept order.  Each terminal pair
+    starts with Dinic's first-phase flow on it, the same arc for arc.
     """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
@@ -272,15 +265,26 @@ def _goldberg(g: Graph, d: Fraction) -> _Network:
             dropped.append(path)
     cap, t = g.m * q, len(vertices) + 1
     net = _Dinic(t + 1)
-    for v in range(1, t):
-        net.add_edge(0, v, cap)
-        net.add_edge(v, t, cap + 2 * p - load[v])
+    head, to, arcs = net.head, net.to, net.cap
+    pushed = 0
+    for v in range(1, t):  # arcs s->v, v->s, v->t, t->v with the first phase's flow
+        e, sink = 4 * v - 4, cap + 2 * p - load[v]
+        f = min(cap, sink)
+        head[0].append(e)
+        head[v] += (e + 1, e + 2)
+        head[t].append(e + 3)
+        to += (v, 0, t, v)
+        arcs += (cap - f, f, sink - f, f)
+        pushed += f
     for path, weight in kept:
         a, b = node[path[0]], node[path[-1]]
-        if a != b:
-            net.add_edge(a, b, weight)
-            net.add_edge(b, a, weight)
-    saturated = net.max_flow(0, t) == cap * len(vertices)
+        if a != b:  # arcs a->b, b->a, b->a, a->b
+            e = len(to)
+            head[a] += (e, e + 3)
+            head[b] += (e + 1, e + 2)
+            to += (b, a, a, b)
+            arcs += (weight, 0, weight, 0)
+    saturated = net.max_flow(0, t, pushed) == cap * len(vertices)
     return _Network(d, net, saturated, vertices, kept, dropped, peeled)
 
 

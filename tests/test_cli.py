@@ -278,6 +278,92 @@ class TestOrient:
         assert proc.returncode == 0 and proc.stdout == ""
 
 
+def orient_golden_corpus():
+    """(name, edge-list text) of the graphs tests/data/orient_golden.json holds."""
+    out = [(f"kstar-{n}", serialize_graph(oddcolor.gen_kstar(n))) for n in range(4, 8)]
+    # r*40 distinct random edges on 40 vertices, subdivided: mad in the band
+    for band, r, seed in (("five", 1.5, 1), ("six", 2.6, 2), ("eps", 3.2, 3)):
+        rng = random.Random(seed)
+        edges = set()
+        while len(edges) < int(r * 40):
+            edges.add(tuple(sorted(rng.sample(range(40), 2))))
+        out.append((f"{band}-band", serialize_graph(subdivide(Graph(40, sorted(edges))))))
+    # a core cycle 0..5 with pendant trees; branch vertices 12, 13 joined by
+    # chains of 1, 3 and 5 edges, a chain from 12 back to itself and a tree at
+    # 13; K4 on 26..29 with a pendant and a parallel 2-edge chain; six paths,
+    # so that m/n < 1 and the first mad flow runs on the whole graph
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(0, 6), (6, 7), (6, 8), (2, 9), (9, 10), (10, 11)]
+    edges += [(12, 13), (12, 14), (14, 15), (15, 13), (12, 16), (16, 17), (17, 18), (18, 19), (19, 13)]
+    edges += [(12, 20), (20, 21), (21, 22), (22, 12), (13, 23), (23, 24), (23, 25)]
+    edges += [(26, 27), (26, 28), (26, 29), (27, 28), (27, 29), (28, 29), (29, 30), (26, 31), (31, 27)]
+    edges += [(v, v + 1) for a in range(32, 50, 3) for v in (a, a + 1)]
+    out.append(("pendant-trees", serialize_graph(Graph(50, edges))))
+    return out
+
+
+class TestOrientGolden:
+    """`orient --alpha A` and `mad --witness` stdout, recorded from the CLI
+    before the flow's first phase was written in closed form.  An orientation
+    is read off the exact max flow found, not just its value, so this pins
+    every flow arc for arc."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "orient_golden.json").read_text())
+    ALPHAS = ("2", "5/2", "20/7", "3", "7/2")
+
+    @staticmethod
+    def stdout(capsys, monkeypatch, graph, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graph))
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    def test_corpus(self):
+        assert [(name, text.split("\n", 1)[0]) for name, text in orient_golden_corpus()] == [
+            ("kstar-4", "10 12"), ("kstar-5", "15 20"), ("kstar-6", "21 30"),
+            ("kstar-7", "28 42"), ("five-band", "100 120"), ("six-band", "144 208"),
+            ("eps-band", "168 256"), ("pendant-trees", "50 49"),
+        ]
+        assert list(self.GOLDEN) == [name for name, _ in orient_golden_corpus()]
+
+    @pytest.mark.parametrize("name, graph", orient_golden_corpus())
+    def test_byte_identical(self, capsys, monkeypatch, name, graph):
+        want = self.GOLDEN[name]
+        assert self.stdout(capsys, monkeypatch, graph, ["mad", "--witness"]) == (0, want["mad --witness"])
+        for alpha in self.ALPHAS:
+            code, out = self.stdout(capsys, monkeypatch, graph, ["orient", "--alpha", alpha])
+            assert out == want[f"orient --alpha {alpha}"]
+            assert code == (1 if out == "INFEASIBLE\n" else 0)
+
+
+class TestParserReuse:
+    """One argparse parser serves every main() call of a process."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_carries_over(self, monkeypatch, capsys):
+        graph = serialize_graph(oddcolor.gen_kstar(5))
+
+        def call(argv):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(graph))
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        first = call(["color"])
+        assert first[0] == 0 and first[2] == ""
+        code, out, err = call(["color", "--strategy", "none"])
+        assert (code, out) == (2, "") and "invalid choice: 'none'" in err
+        assert call(["color", "--strategy", "eps", "--epsilon", "0"]) == (
+            2, "", "error: --epsilon must satisfy 0 < eps <= 8/5\n")
+        assert call(["color"]) == first  # strategy auto again, no epsilon
+        assert call(["mad", "--witness"]) == (0, run(["mad", "--witness"], stdin=graph).stdout, "")
+
+
 class TestErrorsAndDeterminism:
     def test_parse_error_exit_two(self):
         proc = run(["mad"], stdin="2 1\n0 0\n")

@@ -16,6 +16,7 @@ from oddcolor import (
     mad_below,
     mad_decide,
     mad_exact,
+    subdivide,
     subset_density,
 )
 from oddcolor import sparsity
@@ -170,6 +171,54 @@ class TestKernel:
         fo = fractional_orientation(g, Fraction(5, 2))
         assert fo.indegree[10:] == (Fraction(5, 4),) * 3
         assert max(fo.indegree) == Fraction(5, 4)
+
+
+def reference_flow_corpus():
+    """200 seeded graphs: random, subdivided, partly subdivided, and forests
+    with a few extra edges, plus the edgeless graph (every arc of capacity 0)."""
+    rng = random.Random(13)
+    graphs = [Graph(3, [])]
+    while len(graphs) < 200:
+        n = rng.randint(2, 24)
+        g = util.random_graph(rng, n, rng.randint(1, 2 * n))
+        kind = len(graphs) % 4
+        if kind == 1:
+            g = subdivide(g)
+        elif kind == 2:
+            g = util.partial_subdivide(rng, g, 0.5)
+        elif kind == 3:
+            edges = {*util.random_forest(rng, 2 * n).edges(), *util.random_graph(rng, 2 * n, 3).edges()}
+            g = Graph(2 * n, sorted(edges))
+        graphs.append(g)
+    return graphs
+
+
+class TestFlowMatchesReference:
+    """The package's flow against util.ReferenceDinic, which builds the same
+    network arc by arc and runs Dinic from its first BFS: the same arcs, the
+    same residual capacities, the same last BFS and the same answer."""
+
+    @staticmethod
+    def assert_same(g, d):
+        nw = sparsity._goldberg(g, d)
+        ref, saturated = util.reference_goldberg(g, d)
+        assert (nw.net.head, nw.net.to) == (ref.head, ref.to), (g.n, list(g.edges()), d)
+        assert nw.net.cap == ref.cap, (g.n, list(g.edges()), d)
+        assert nw.net.level == ref.level, (g.n, list(g.edges()), d)
+        assert nw.saturated == saturated
+
+    def test_seeded_graphs(self):
+        for g in reference_flow_corpus():
+            m_over_n = Fraction(g.m, g.n)
+            for d in (Fraction(1, 3), Fraction(1), m_over_n, Fraction(10, 7), Fraction(3, 2), Fraction(2)):
+                self.assert_same(g, d)
+
+    def test_star_at_zero(self):
+        # the center's sink arc has capacity m*q - q*deg = 0
+        star = Graph(6, [(0, v) for v in range(1, 6)])
+        self.assert_same(star, Fraction(0))
+        nw = sparsity._goldberg(star, Fraction(0))
+        assert nw.net.cap[3] == 0 and nw.net.cap[2] == 0 and not nw.saturated
 
 
 class TestMadBelow:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddcolor import Graph, ReductionExhaustedError, subdivide
+from oddcolor import Graph, ReductionExhaustedError, sparsity, subdivide
 from oddcolor.graph import _Peeler
 
 
@@ -55,6 +56,112 @@ def brute_force_girth(g: Graph) -> int | None:
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length)):
                     return length
     return None
+
+
+class ReferenceDinic:
+    """Dinic's max flow, built one arc at a time and run phase by phase from
+    the first BFS on, with the DFS restarted at the source after each
+    augmenting path: an oracle for sparsity._Dinic, which starts from the
+    first phase's flow in closed form.  Arc eid's residual twin is eid ^ 1."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.head: list[list[int]] = [[] for _ in range(size)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.level: list[int] = []
+
+    def add_edge(self, u: int, v: int, c: int) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _levels(self, s: int) -> list[int]:
+        level = [-1] * self.size
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if self.cap[eid] > 0 and level[v] == -1:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(self.cap[eid] for eid in path)
+                for eid in path:
+                    self.cap[eid] -= pushed
+                    self.cap[eid ^ 1] += pushed
+                return pushed
+            moved = False
+            while it[u] < len(self.head[u]):
+                eid = self.head[u][it[u]]
+                v = self.to[eid]
+                if self.cap[eid] > 0 and level[v] == level[u] + 1:
+                    path.append(eid)
+                    u = v
+                    moved = True
+                    break
+                it[u] += 1
+            if not moved:
+                level[u] = -1
+                if not path:
+                    return 0
+                eid = path.pop()
+                u = self.to[eid ^ 1]
+                it[u] += 1
+
+    def max_flow(self, s: int, t: int) -> int:
+        total = 0
+        while True:
+            level = self._levels(s)
+            if level[t] == -1:
+                self.level = level
+                return total
+            it = [0] * self.size
+            while pushed := self._augment(s, t, level, it):
+                total += pushed
+
+
+def reference_goldberg(g: Graph, d: Fraction) -> tuple[ReferenceDinic, bool]:
+    """Goldberg's network at d = p/q on the kernel of g (as sparsity._goldberg
+    documents it: four arcs per kernel vertex, source arc first, then four
+    per kept chain between two vertices) after ReferenceDinic's max flow,
+    and whether that flow saturates the source arcs."""
+    p, q = d.numerator, d.denominator
+    if d >= 1:
+        _, vertices, chains = sparsity._contract(g)
+    else:
+        vertices, chains = list(range(g.n)), [[u, v] for u, v in g.edges()]
+    node = {v: i + 1 for i, v in enumerate(vertices)}
+    t = len(vertices) + 1
+    load = [0] * t
+    kept = []
+    for path in chains:
+        weight = q * (len(path) - 1) - p * (len(path) - 2)
+        if weight > 0:
+            a, b = node[path[0]], node[path[-1]]
+            load[a] += weight
+            load[b] += weight
+            if a != b:
+                kept.append((a, b, weight))
+    net = ReferenceDinic(t + 1)
+    for v in range(1, t):
+        net.add_edge(0, v, g.m * q)
+        net.add_edge(v, t, g.m * q + 2 * p - load[v])
+    for a, b, weight in kept:
+        net.add_edge(a, b, weight)
+        net.add_edge(b, a, weight)
+    return net, net.max_flow(0, t) == g.m * q * len(vertices)
 
 
 def brute_force_densest_union(g: Graph) -> tuple[int, ...]:
