@@ -287,9 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's own exit: 2 on a usage error, 0 after --help
+        return exc.code
     except (_UsageError, ValueError) as exc:
         # also GraphParseError, a bad coloring file, out-of-range parameters
         print(f"error: {exc}", file=sys.stderr)

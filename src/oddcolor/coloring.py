@@ -34,8 +34,8 @@ class Violation:
 
 
 def choose_color(avoid: Iterable[int], k: int) -> int:
-    """Smallest color in 1..k not contained in avoid."""
-    forbidden = set(avoid)
+    """Smallest color in 1..k not contained in avoid (a set is used as is)."""
+    forbidden = avoid if isinstance(avoid, set) else set(avoid)
     for c in range(1, k + 1):
         if c not in forbidden:
             return c
@@ -46,10 +46,11 @@ class PartialColoring:
     """Mutable partial proper coloring with per-vertex neighbor-color parity.
 
     Colors are positive integers 1..k; 0 means uncolored.  Properness is
-    enforced at every assign.  The odd-color set of a vertex always reflects
-    the colors on its currently colored neighbors, including vertices that
-    were re-colored after deletion/replay, which is exactly the "current
-    coloring" a colorer must consult before each assignment.
+    enforced at every assign, whose ValueErrors all come before any change.
+    The odd-color set of a vertex always reflects the colors on its
+    currently colored neighbors, including vertices that were re-colored
+    after deletion/replay, which is exactly the "current coloring" a
+    colorer must consult before each assignment.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -66,13 +67,14 @@ class PartialColoring:
     def assign(self, v: int, c: int) -> None:
         if not 1 <= c <= self.k:
             raise ValueError(f"color {c} out of range 1..{self.k}")
-        if self.color[v] != 0:
+        color, nbs = self.color, self.graph.neighbors(v)
+        if color[v] != 0:
             raise ValueError(f"vertex {v} already colored")
-        for w in self.graph.neighbors(v):
-            if self.color[w] == c:
+        for w in nbs:
+            if color[w] == c:
                 raise ValueError(f"color {c} on {v} clashes with neighbor {w}")
-        self.color[v] = c
-        for w in self.graph.neighbors(v):
+        color[v] = c
+        for w in nbs:
             odd = self._odd[w]
             if c in odd:
                 odd.discard(c)
@@ -105,6 +107,10 @@ def is_odd_coloring(g: Graph, colors: Iterable[int]) -> tuple[bool, list[Violati
 
     Violations list improper edges first (sorted), then vertices lacking an
     odd color (sorted).  Raises ValueError if any vertex is uncolored.
+
+    The class sizes on N(v) sum to deg(v), so odd degree always leaves an odd
+    class; degree 2 lacks one exactly when both neighbours share a color, and
+    even degree 4+ exactly when the sorted neighbour colors pair up.
     """
     cols = list(colors)
     if len(cols) != g.n:
@@ -112,18 +118,14 @@ def is_odd_coloring(g: Graph, colors: Iterable[int]) -> tuple[bool, list[Violati
     for v, c in enumerate(cols):
         if not isinstance(c, int) or c < 1:
             raise ValueError(f"vertex {v} is uncolored or has invalid color {c!r}")
-    violations: list[Violation] = []
-    for u, v in g.edges():
-        if cols[u] == cols[v]:
-            violations.append(Violation("improper-edge", (u, v)))
+    violations = [Violation("improper-edge", (u, v)) for u, v in g.edges() if cols[u] == cols[v]]
     for v in range(g.n):
         nbs = g.neighbors(v)
-        if not nbs:
-            continue
-        counts: dict[int, int] = {}
-        for w in nbs:
-            counts[cols[w]] = counts.get(cols[w], 0) + 1
-        if not any(c % 2 == 1 for c in counts.values()):
+        if len(nbs) == 2:
+            lack = cols[nbs[0]] == cols[nbs[1]]
+        else:
+            lack = nbs and len(nbs) % 2 == 0 and (s := sorted(cols[w] for w in nbs))[::2] == s[1::2]
+        if lack:
             violations.append(Violation("no-odd-color", v))
     return (not violations, violations)
 

@@ -50,11 +50,11 @@ graphs, and a dispatcher that picks the strongest applicable strategy.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Callable, Container, NamedTuple
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
@@ -71,8 +71,7 @@ class ReductionExhaustedError(RuntimeError):
     """No reducible configuration found; contradicts the density hypothesis."""
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     """One deleted configuration, replayed in reverse during extension.
 
     deleted lists the removed vertices in coloring order (the center
@@ -124,15 +123,15 @@ _Slot = tuple[_Rule, list[tuple[int, int]], list[int | None]]  # rule, heap, las
 
 
 def _two_neighbors(st: _Peeler, v: int) -> list[int]:
-    return [w for w in st.nbrs(v) if st.deg[w] == 2]
+    alive, deg = st.alive, st.deg
+    return [w for w in st.adj[v] if deg[w] == 2 and alive[w]]
 
 
 def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRecord:
-    frontier: dict[int, tuple[int, ...]] = {
-        v: tuple(w for w in st.nbrs(v) if w not in twos)
-    }
+    adj, alive = st.adj, st.alive
+    frontier = {v: tuple([w for w in adj[v] if alive[w] and w not in twos])}
     for w in twos:
-        frontier[w] = tuple(x for x in st.nbrs(w) if x != v)
+        frontier[w] = tuple([x for x in adj[w] if alive[x] and x != v])
     return ReductionRecord(kind, (v, *twos), frontier)
 
 
@@ -167,7 +166,7 @@ def _three_weak_pair(st: _Peeler, v: int) -> ReductionRecord | None:
     protect = {u for u in surv if st.deg[u] >= 4}
     if len(surv) == 1:
         protect.add(surv[0])
-    return replace(rec, protect=tuple(sorted(protect)))
+    return rec._replace(protect=tuple(sorted(protect)))
 
 
 def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
@@ -230,13 +229,16 @@ class _Candidates:
     queued once per key and its older entries are skipped.  The entry at
     the top is checked again (alive, of the rule's degree, matching) and
     dropped when it fails, so the first that passes is the first rule's
-    lowest center, or its center of least key.
+    lowest center, or its center of least key.  A keyed rule's heap (the eps
+    star's) is filled when first() first reaches it, and wake skips it until
+    then; from that moment the invariant holds, so its choice is the same.
     """
 
     def __init__(self, st: _Peeler, rules: tuple[_Rule, ...]):
         self.st = st
-        # one (rule, heap, last) slot per rule, in priority order
-        self.slots = [(rule, [], [None] * st.g.n) for rule in rules]
+        # one (rule, heap, last) slot per rule, in priority order; a keyed
+        # rule's last stays empty until its heap is filled
+        self.slots = [(rule, [], [] if rule.key else [None] * len(st.deg)) for rule in rules]
         top = max(st.deg, default=0) + 1
         # own[d]: the slots whose centers may have degree d; near[du][dv]:
         # those a neighbour of degree dv is pushed to when u falls to du
@@ -245,45 +247,59 @@ class _Candidates:
             du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
             for du in {du for rule in rules for du in rule.wake}
         }
-        for v, d in enumerate(st.deg):
-            self.push(v, self.own[d])
+        for v, d in enumerate(st.deg):  # in index order, so each list is a heap
+            for _, heap, last in self.own[d]:
+                if last:
+                    last[v] = 0
+                    heap.append((0, v))
 
     def push(self, v: int, slots: list[_Slot]) -> None:
         """Give v a current entry in the heaps of these rules."""
+        st = self.st
         for rule, heap, last in slots:
-            k = rule.key(self.st, v) if rule.key else 0
+            if not last:  # an unfilled keyed heap
+                continue
+            k = rule.key(st, v) if rule.key else 0
             if last[v] != k:
                 last[v] = k
-                heapq.heappush(heap, (k, v))
+                heappush(heap, (k, v))
 
     def wake(self, fell: list[int]) -> None:
         """Push what may match after a deletion lowered the degrees of fell."""
         st = self.st
-        alive, deg = st.alive, st.deg
+        adj, alive, deg = st.adj, st.alive, st.deg
         for u in fell:
             self.push(u, self.own[deg[u]])
             near = self.near.get(deg[u])
             if near is None:
                 continue
-            for v in st.g.neighbors(u):
-                if alive[v] and near[deg[v]]:
-                    self.push(v, near[deg[v]])
-                    for slot in near[deg[v]]:
+            for v in adj[u]:
+                if alive[v] and (slots := near[deg[v]]):
+                    self.push(v, slots)
+                    for slot in slots:
                         if slot[0].far:
-                            for w in st.nbrs(v):
-                                if deg[w] in slot[0].degrees:
+                            for w in adj[v]:
+                                if alive[w] and deg[w] in slot[0].degrees:
                                     self.push(w, [slot])
 
     def first(self) -> ReductionRecord | None:
         """Record of the first rule that matches, at its lowest center."""
         st = self.st
+        alive, deg = st.alive, st.deg
         for rule, heap, last in self.slots:
+            if not last:  # a keyed rule reached for the first time: fill in place
+                last += [None] * len(alive)
+                for v, d in enumerate(deg):
+                    if alive[v] and d in rule.degrees:
+                        last[v] = k = rule.key(st, v)
+                        heap.append((k, v))
+                heapify(heap)
             while heap:
-                k, v = heapq.heappop(heap)
+                k, v = heappop(heap)
                 if last[v] != k:
                     continue
                 last[v] = None
-                if not st.alive[v] or st.deg[v] not in rule.degrees:
+                if not alive[v] or deg[v] not in rule.degrees:
                     continue
                 rec = rule.match(st, v)
                 if rec is not None:
@@ -357,12 +373,6 @@ def five_reduction_records(g: Graph) -> list[ReductionRecord]:
 # Replay
 
 
-def _add_unique_odd(avoid: set[int], pc: PartialColoring, v: int) -> None:
-    c = pc.unique_odd_color(v)
-    if c is not None:
-        avoid.add(c)
-
-
 # kind -> (protect_surv, dodge_center, dodge_lone) for the star replay.
 # protect_surv: the center avoids the unique odd colors of its surviving
 #   neighbors; otherwise those of rec.protect.
@@ -386,6 +396,7 @@ _STAR_REPLAY = {
 def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
     k = pc.k
     col = pc.color
+    odd = pc._odd  # read only; a vertex's unique odd color is odd[x] when len(odd[x]) == 1
     if rec.kind == "adjacent-4v":
         v, w = rec.deleted[0], rec.deleted[1]
         twos = rec.deleted[2:]
@@ -402,22 +413,24 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
             avoid = set()
             for p in anchors:
                 avoid.add(col[p])
-                _add_unique_odd(avoid, pc, p)
+                if len(odd[p]) == 1:
+                    avoid |= odd[p]
             pc.assign(u, choose_color(avoid, k))
         return
     protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
     surv = rec.frontier[v]
-    avoid = {col[u] for u in surv} | {col[rec.frontier[w][0]] for w in ws}
+    avoid = {col[x] for near in rec.frontier.values() for x in near}  # every frontier color
     for u in surv if protect_surv else rec.protect:
-        _add_unique_odd(avoid, pc, u)
+        if len(odd[u]) == 1:
+            avoid |= odd[u]
     pc.assign(v, choose_color(avoid, k))
     for w in ws:
         (x,) = rec.frontier[w]
         avoid = {col[v], col[x]}
-        _add_unique_odd(avoid, pc, x)
-        if dodge_center:
-            _add_unique_odd(avoid, pc, v)
+        for u in (x, v) if dodge_center else (x,):
+            if len(odd[u]) == 1:
+                avoid |= odd[u]
         if dodge_lone and len(surv) == 1:
             avoid.add(col[surv[0]])
         pc.assign(w, choose_color(avoid, k))
@@ -481,7 +494,8 @@ def color_forest(g: Graph) -> ColoringResult:
         for w in g.neighbors(v):
             if pc.is_colored(w):
                 avoid.add(pc.color[w])
-                _add_unique_odd(avoid, pc, w)
+                if (c := pc.unique_odd_color(w)) is not None:
+                    avoid.add(c)
         pc.assign(v, choose_color(avoid, 3))
     return _finish(g, tuple(pc.color), 3, "forest")
 
@@ -522,10 +536,8 @@ def classify_small(g: Graph) -> ColoringResult | None:
         return ColoringResult((), 0, 0, "edgeless")
     if g.m == 0:
         return ColoringResult((1,) * g.n, 1, 1, "edgeless")
-    side = g.bipartition()
-    if side is not None and all(d == 0 or d % 2 == 1 for d in g.degrees()):
-        colors = tuple(s + 1 for s in side)
-        return _finish(g, colors, 2, "two-color")
+    if all(d % 2 or d == 0 for d in g.degrees()) and (side := g.bipartition()) is not None:
+        return _finish(g, tuple(s + 1 for s in side), 2, "two-color")
     return None
 
 
@@ -609,7 +621,8 @@ def kstar_coloring(n: int) -> ColoringResult:
     for s in range(n, g.n):
         i, j = g.neighbors(s)
         avoid = {pc.color[i], pc.color[j]}
-        _add_unique_odd(avoid, pc, i)
-        _add_unique_odd(avoid, pc, j)
+        for x in (i, j):
+            if (c := pc.unique_odd_color(x)) is not None:
+                avoid.add(c)
         pc.assign(s, choose_color(avoid, k))
     return _finish(g, tuple(pc.color), k, "kstar")

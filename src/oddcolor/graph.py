@@ -105,7 +105,8 @@ class Graph:
         return side
 
     def is_forest(self) -> bool:
-        return self.m == self.n - len(self.components())
+        # a forest has m = n - (number of components) < n edges, unless n = 0
+        return self.m < max(self.n, 1) and self.m == self.n - len(self.components())
 
     def is_cycle(self) -> bool:
         """True when the graph is a single cycle: every degree 2, connected."""
@@ -125,29 +126,31 @@ class Graph:
 
 class _Peeler:
     """Alive-mask view of a graph while vertices are deleted, with the
-    current degree of every vertex."""
+    current degree of every vertex; adj is the graph's adjacency."""
 
     def __init__(self, g: Graph):
-        self.g = g
+        self.adj = g._adj
         self.alive = [True] * g.n
         self.deg = list(g.degrees())
         self.remaining = g.n
 
     def nbrs(self, v: int) -> list[int]:
-        return [w for w in self.g.neighbors(v) if self.alive[w]]
+        alive = self.alive
+        return [w for w in self.adj[v] if alive[w]]
 
     def delete(self, vs: tuple[int, ...]) -> list[int]:
         """Delete vs; return the alive vertices whose degree fell, once each."""
+        adj, alive, deg = self.adj, self.alive, self.deg
         for v in vs:
-            if not self.alive[v]:
+            if not alive[v]:
                 raise RuntimeError(f"vertex {v} deleted twice")
-            self.alive[v] = False
-            self.remaining -= 1
+            alive[v] = False
+        self.remaining -= len(vs)
         fell: dict[int, None] = {}
         for v in vs:
-            for w in self.g.neighbors(v):
-                if self.alive[w]:
-                    self.deg[w] -= 1
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
                     fell[w] = None
         return list(fell)
 

@@ -123,6 +123,25 @@ class TestColorVerify:
             "no-odd-color 0", "no-odd-color 1", "no-odd-color 2", "no-odd-color 3",
         ]
 
+    @pytest.mark.parametrize("graph, colors, report", [
+        # triangle 0-1-2, pendants 3 and 4 at 0, isolated 5: the clash on
+        # edge 1-2, and center 0 seeing two classes of size two
+        ("6 5\n0 1\n0 2\n0 3\n0 4\n1 2\n", [1, 2, 2, 3, 3, 1],
+         "improper-edge 1 2\nno-odd-color 0\n"),
+        # kstar(4) with every hub colored 1: each subdivision vertex sees one
+        # even class, and the one colored 1 clashes with both its hubs
+        (None, [1, 1, 1, 1, 2, 2, 2, 2, 2, 1],
+         "improper-edge 2 9\nimproper-edge 3 9\nno-odd-color 4\nno-odd-color 5\n"
+         "no-odd-color 6\nno-odd-color 7\nno-odd-color 8\nno-odd-color 9\n"),
+    ])
+    def test_verify_report_pinned(self, tmp_path, graph, colors, report):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(graph or chain(["gen", "kstar", "4"]))
+        coloring_file = tmp_path / "bad.json"
+        coloring_file.write_text(json.dumps({"k": max(colors), "colors": colors}))
+        proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, report, "")
+
     @pytest.mark.parametrize("gen_args", [
         ["gen", "kstar", "4"],
         ["gen", "kstar", "6"],
@@ -348,11 +367,7 @@ class TestParserReuse:
 
         def call(argv):
             monkeypatch.setattr(sys, "stdin", io.StringIO(graph))
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
-            return (code, *capsys.readouterr())
+            return (cli.main(argv), *capsys.readouterr())
 
         first = call(["color"])
         assert first[0] == 0 and first[2] == ""
@@ -362,6 +377,15 @@ class TestParserReuse:
             2, "", "error: --epsilon must satisfy 0 < eps <= 8/5\n")
         assert call(["color"]) == first  # strategy auto again, no epsilon
         assert call(["mad", "--witness"]) == (0, run(["mad", "--witness"], stdin=graph).stdout, "")
+
+    def test_argparse_exits_become_return_codes(self, capsys):
+        # an in-process caller gets argparse's exit code, not SystemExit
+        assert cli.main(["color", "--strategy", "none"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'none'" in err
+        assert cli.main(["color", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: oddcolor color") and err == ""
 
 
 class TestErrorsAndDeterminism:

@@ -146,6 +146,27 @@ class TestVerifier:
         with pytest.raises(ValueError):
             is_odd_coloring(gen_cycle(3), [1, 2, 0])
 
+    def test_violations_match_class_counting(self):
+        # the parity shortcuts list what counting every class lists, kinds and
+        # order included, on graphs with isolated vertices and every degree
+        # parity and on colorings with clashes and all-even neighbourhoods
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+            for _ in range(20):
+                cols = [rng.randint(1, rng.choice((2, 3, 5))) for _ in range(n)]
+                violations = is_odd_coloring(g, cols)[1]
+                assert violations == util.violations_by_counting(g, cols)
+                lacking = {x.where for x in violations if x.kind == "no-odd-color"}
+                seen.update(x.kind for x in violations)
+                for v in range(n):
+                    d = g.degree(v)
+                    seen.add(("odd" if d % 2 else min(d, 4), v in lacking))
+        assert seen == {"improper-edge", "no-odd-color", (0, False), ("odd", False),
+                        (2, False), (2, True), (4, False), (4, True)}
+
     def test_agrees_with_definition_on_random_colorings(self):
         rng = random.Random(41)
         for _ in range(15):

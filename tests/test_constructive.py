@@ -487,7 +487,10 @@ class TestReductionWork:
         # a scan of the degree-2 vertices in index order meets many that do
         # not match before one that does (about 18 calls per vertex).  The
         # heaps take 0.22n-0.35n; a rule that scans 2-neighbours of a center
-        # it only deletes (leaf, three-vertex) takes about 0.8n-1.3n.
+        # it only deletes (leaf, three-vertex) takes about 0.8n-1.3n.  The
+        # eps engine never reaches its star row here, so no charge key (one
+        # scan per degree-4+ vertex) is taken: its 1 and 2 calls are
+        # adjacent-2's.
         g = util.roadmap_corpus(1000)
         if relabeled:
             perm = list(range(g.n))
@@ -499,11 +502,12 @@ class TestReductionWork:
             constructive, "_two_neighbors", lambda st, v: calls.append(v) or two(st, v)
         )
         assert g.n == 2500
-        for engine in (six_reduction_records, five_reduction_records,
-                       lambda g: eps_reduction_records(g, 1)):
+        for engine, bound in ((six_reduction_records, g.n // 2),
+                              (five_reduction_records, g.n // 2),
+                              (lambda g: eps_reduction_records(g, 1), 2)):
             calls.clear()
             engine(g)
-            assert len(calls) <= g.n // 2, engine
+            assert len(calls) <= bound, engine
 
 
 class TestKstarColoring:

@@ -56,6 +56,7 @@ class TestGraphConstruction:
     def test_is_forest(self):
         assert gen_path(6).is_forest()
         assert not gen_cycle(6).is_forest()
+        assert Graph(0, []).is_forest() and Graph(1, []).is_forest()  # m = n = 0 is a forest
 
     def test_is_cycle(self):
         assert gen_cycle(3).is_cycle() and gen_cycle(7).is_cycle()

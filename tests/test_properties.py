@@ -15,6 +15,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from oddcolor import (
     Graph,
+    PartialColoring,
     color_auto,
     color_eps,
     color_five,
@@ -244,3 +245,74 @@ def test_reduction_order_on_partial_subdivisions(g):
 @given(kernel_graphs(40))
 def test_reduction_order_on_kernel_graphs(g):
     assert_reductions_match_the_rescan(g)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@st.composite
+def dispatch_graphs(draw):
+    """Graphs for the dispatch tests, n >= 1: random ones with m < n
+    ("sparse") or m >= n ("dense"), random forests, random bipartite
+    graphs, and bipartite graphs in which every vertex of even positive
+    degree gets a pendant leaf, so that every degree is 0 or odd."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["sparse", "dense", "forest", "bipartite", "odd-bipartite"]))
+    n = draw(st.integers(1 if kind != "dense" else 3, 14))
+    if kind == "sparse":
+        return util.random_graph(rng, n, rng.randint(0, n - 1))
+    if kind == "dense":
+        return util.random_graph(rng, n, rng.randint(n, n * (n - 1) // 2))
+    if kind == "forest":
+        return util.random_forest(rng, n, rng.choice((0.5, 0.9, 1)))
+    a = rng.randint(1, n)  # sides 0..a-1 and a..n-1
+    edges = [(u, v) for u in range(a) for v in range(a, n) if rng.random() < 0.4]
+    if kind == "odd-bipartite":
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        evens = [v for v in range(n) if degree[v] and degree[v] % 2 == 0]
+        edges += [(v, n + i) for i, v in enumerate(evens)]
+        n += len(evens)
+    return Graph(n, edges)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(dispatch_graphs())
+def test_two_color_case_matches_networkx(g):
+    h = to_networkx(g)
+    two_color = nx.is_bipartite(h) and all(d == 0 or d % 2 == 1 for _, d in h.degree())
+    assert (constructive.classify_small(g) is not None) == two_color
+
+
+@settings(SETTINGS, max_examples=300)
+@given(dispatch_graphs())
+def test_is_forest_matches_networkx(g):
+    assert g.is_forest() == nx.is_forest(to_networkx(g))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(graphs((2, 12), (0.5, 1, 2, 3)), st.integers(0, 2**32))
+def test_rejected_assign_changes_nothing(g, seed):
+    # a clash, an out-of-range color and a second color for a vertex each
+    # raise before the coloring or any odd-color set changes
+    rng = random.Random(seed)
+    pc = PartialColoring(g, 4)
+    for v in rng.sample(range(g.n), g.n // 2):
+        free = [c for c in range(1, 5) if all(pc.color[w] != c for w in g.neighbors(v))]
+        if free:
+            pc.assign(v, rng.choice(free))
+    before = (list(pc.color), [pc.odd_color_set(v) for v in range(g.n)])
+    bad = [(u, pc.color[w]) for u in range(g.n) if not pc.is_colored(u)
+           for w in g.neighbors(u) if pc.is_colored(w)]
+    bad += [(v, pc.color[v] % 4 + 1) for v in range(g.n) if pc.is_colored(v)]
+    bad += [(0, 0), (0, 5)]
+    for v, c in bad:
+        with pytest.raises(ValueError):
+            pc.assign(v, c)
+        assert (pc.color, [pc.odd_color_set(v) for v in range(g.n)]) == before

@@ -7,7 +7,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddcolor import Graph, ReductionExhaustedError, sparsity, subdivide
+from oddcolor import Graph, ReductionExhaustedError, Violation, sparsity, subdivide
 from oddcolor.graph import _Peeler
 
 
@@ -291,6 +291,24 @@ def odd_coloring_by_definition(g: Graph, cols: list[int]) -> bool:
         if not any(c % 2 == 1 for c in counts.values()):
             return False
     return True
+
+
+def violations_by_counting(g: Graph, cols: list[int]) -> list[Violation]:
+    """Every violation of a total coloring, found by counting each
+    neighbourhood's color classes with no parity shortcut: the improper
+    edges (u, v), u < v, in sorted order, then the non-isolated vertices
+    whose classes all have even size, in order."""
+    violations = [Violation("improper-edge", (u, v)) for u, v in g.edges() if cols[u] == cols[v]]
+    for v in range(g.n):
+        nbs = g.neighbors(v)
+        if not nbs:
+            continue
+        counts: dict[int, int] = {}
+        for w in nbs:
+            counts[cols[w]] = counts.get(cols[w], 0) + 1
+        if not any(c % 2 == 1 for c in counts.values()):
+            violations.append(Violation("no-odd-color", v))
+    return violations
 
 
 def partial_subdivide(rng: random.Random, g: Graph, prob: float) -> Graph:
