@@ -104,6 +104,11 @@ def _cmd_girth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --strategy values that need only the graph; looked up per call, so a wrapper is seen
+_COLORERS = {"forest": "color_forest", "cycle": "color_cycle_graph",
+             "five": "color_five", "six": "color_six"}
+
+
 def _cmd_color(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     strategy = args.strategy
@@ -111,14 +116,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     try:
         if strategy == "auto":
             result = constructive.color_auto(g, budget)
-        elif strategy == "forest":
-            result = constructive.color_forest(g)
-        elif strategy == "cycle":
-            result = constructive.color_cycle_graph(g)
-        elif strategy == "five":
-            result = constructive.color_five(g)
-        elif strategy == "six":
-            result = constructive.color_six(g)
+        elif strategy in _COLORERS:
+            result = getattr(constructive, _COLORERS[strategy])(g)
         else:  # eps
             if args.epsilon is None:
                 raise _UsageError("--strategy eps requires --epsilon p/q")
@@ -249,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="construct a bounded odd coloring")
     add_common(p)
     p.add_argument(
-        "--strategy", choices=("auto", "forest", "cycle", "five", "six", "eps"),
+        "--strategy", choices=("auto", *_COLORERS, "eps"),
         default="auto",
     )
     p.add_argument("--epsilon", default=None, help="exact rational p/q for --strategy eps")

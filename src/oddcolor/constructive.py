@@ -59,7 +59,7 @@ from typing import Callable, Container, NamedTuple
 
 from .coloring import PartialColoring, choose_color, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
-from .graph import Graph, _Peeler, gen_kstar
+from .graph import Graph, _contract, _Peeler, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
 
 
@@ -467,36 +467,14 @@ def _finish(g: Graph, colors: tuple[int, ...], bound: int, strategy: str) -> Col
 def color_forest(g: Graph) -> ColoringResult:
     """Odd coloring of a forest with at most 3 colors.
 
-    Peels vertices of degree at most one onto a stack, then colors in
-    reverse: each vertex has at most one colored neighbor w and avoids
-    w's color and w's current unique odd color.
+    Replays the kernel's peel in reverse, each vertex as a leaf whose one
+    colored neighbor is the one it still had when it was peeled.
     """
-    deg = list(g.degrees())
-    queue = [v for v in range(g.n) if deg[v] <= 1]
-    order: list[int] = []
-    removed = [False] * g.n
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        removed[v] = True
-        order.append(v)
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    if len(order) != g.n:
+    if not g.is_forest():
         raise ValueError("graph contains a cycle")
     pc = PartialColoring(g, 3)
-    for v in reversed(order):
-        avoid: set[int] = set()
-        for w in g.neighbors(v):
-            if pc.is_colored(w):
-                avoid.add(pc.color[w])
-                if (c := pc.unique_odd_color(w)) is not None:
-                    avoid.add(c)
-        pc.assign(v, choose_color(avoid, 3))
+    for v, left in reversed(_contract(g).peeled):
+        _replay(pc, ReductionRecord("leaf", (v,), {v: (left,) if left >= 0 else ()}), g)
     return _finish(g, tuple(pc.color), 3, "forest")
 
 
@@ -514,14 +492,10 @@ def color_cycle_graph(g: Graph) -> ColoringResult:
     """Optimal odd coloring of a graph that is a single cycle."""
     if not g.is_cycle():
         raise ValueError("graph is not a single cycle")
-    walk = [0, min(g.neighbors(0))]
-    while len(walk) < g.n:
-        prev, cur = walk[-2], walk[-1]
-        walk.append(next(w for w in g.neighbors(cur) if w != prev))
-    pattern = _cycle_pattern(g.n)
+    (walk,) = _contract(g).cycles  # from vertex 0 to its smaller neighbour first
     colors = [0] * g.n
-    for pos, v in enumerate(walk):
-        colors[v] = pattern[pos]
+    for v, c in zip(walk, _cycle_pattern(g.n)):  # the walk ends back at 0
+        colors[v] = c
     return _finish(g, tuple(colors), cycle_chi(g.n), "cycle")
 
 
@@ -605,11 +579,10 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
 def kstar_coloring(n: int) -> ColoringResult:
     """Canonical odd coloring of the subdivided complete graph on n hubs.
 
-    Hubs get colors 1..n; each subdivision vertex then takes the smallest
-    color avoiding its two hub colors and, for each of those hubs, the
-    hub's current unique odd color, processed in index order.  Uses exactly
-    n colors for n >= 3 (3 for n = 2, where the middle vertex of the path
-    needs a third color).
+    Hubs get colors 1..n; then each subdivision vertex, in index order, is
+    replayed as a three-vertex record with its two hubs as frontier.  Uses
+    exactly n colors for n >= 3 (3 for n = 2, where the middle vertex of
+    the path needs a third color).
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -619,10 +592,5 @@ def kstar_coloring(n: int) -> ColoringResult:
     for h in range(n):
         pc.assign(h, h + 1)
     for s in range(n, g.n):
-        i, j = g.neighbors(s)
-        avoid = {pc.color[i], pc.color[j]}
-        for x in (i, j):
-            if (c := pc.unique_odd_color(x)) is not None:
-                avoid.add(c)
-        pc.assign(s, choose_color(avoid, k))
+        _replay(pc, ReductionRecord("three-vertex", (s,), {s: g.neighbors(s)}), g)
     return _finish(g, tuple(pc.color), k, "kstar")

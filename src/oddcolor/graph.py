@@ -8,7 +8,7 @@ DIMACS ("p edge n m" header, then "e u v" lines, 1-based).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 10**6  # largest n a parsed header or a CLI generator may ask for
 
@@ -25,7 +25,7 @@ class Graph:
     and safe to share across threads.
     """
 
-    __slots__ = ("n", "m", "_adj")
+    __slots__ = ("n", "m", "_adj", "_core")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -46,6 +46,7 @@ class Graph:
         self.n = n
         self.m = len(seen)
         self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self._core: _Kernel | None = None  # the kernel, once _contract has built it
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -105,12 +106,12 @@ class Graph:
         return side
 
     def is_forest(self) -> bool:
-        # a forest has m = n - (number of components) < n edges, unless n = 0
-        return self.m < max(self.n, 1) and self.m == self.n - len(self.components())
+        """True when the 2-core is empty; a forest has fewer than n edges, unless n = 0."""
+        return self.m < max(self.n, 1) and len(_contract(self).peeled) == self.n
 
     def is_cycle(self) -> bool:
-        """True when the graph is a single cycle: every degree 2, connected."""
-        return all(len(nb) == 2 for nb in self._adj) and len(self.components()) == 1
+        """True when the graph is a single cycle: every degree 2, one core cycle."""
+        return all(len(nb) == 2 for nb in self._adj) and len(_contract(self).cycles) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -153,6 +154,75 @@ class _Peeler:
                     deg[w] -= 1
                     fell[w] = None
         return list(fell)
+
+
+class _Kernel(NamedTuple):
+    """The 2-core of a graph cut into chains and cycles (Batagelj & Zaversnik
+    2003).  peeled: the vertices outside the core in peel order, last in
+    first out, each with the neighbour it still had when it went (-1 for
+    none).  branch: the vertices of core degree 3 or more.  chains: every
+    path of the core whose inner vertices have core degree 2 and whose ends
+    are branch vertices, once each; one may return to its start.  cycles:
+    the core components with no branch vertex, each a closed walk from its
+    smallest vertex, stepping first to the smaller neighbour.  A chain or
+    cycle of L edges has L + 1 entries.  sparsity reads arc ids and
+    orientations off the peel and chain orders, so both are fixed."""
+
+    peeled: tuple[tuple[int, int], ...]
+    branch: tuple[int, ...]
+    chains: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+
+def _contract(g: Graph) -> _Kernel:
+    """The kernel of g, built in linear time on the first call and then kept."""
+    if g._core is not None:
+        return g._core
+    adj = g._adj
+    deg = [len(nb) for nb in adj]
+    alive = [True] * g.n
+    peeled = []
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    while stack:
+        v = stack.pop()
+        alive[v] = False
+        left = -1
+        for w in adj[v]:
+            if alive[w]:
+                left = w
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+        peeled.append((v, left))
+    walked = [False] * g.n  # inner vertices of the chains and cycles found so far
+
+    def walk(a: int, x: int) -> tuple[int, ...]:  # a, x, ... to a branch vertex or back to a
+        path, prev = [a], a
+        while deg[x] == 2 and x != a:
+            walked[x] = True
+            path.append(x)
+            for y in adj[x]:  # the core neighbour x was not entered from
+                if y != prev and alive[y]:
+                    break
+            prev, x = x, y
+        path.append(x)
+        return tuple(path)
+
+    branch = [v for v in range(g.n) if alive[v] and deg[v] > 2]
+    chains = [
+        walk(a, x)
+        for a in branch
+        for x in adj[a]
+        # skip x outside the core, or on a chain already found from its other end
+        if alive[x] and not walked[x] and (deg[x] == 2 or x > a)
+    ]
+    cycles = [
+        walk(s, next(w for w in adj[s] if alive[w]))
+        for s in range(g.n)
+        if alive[s] and deg[s] == 2 and not walked[s]
+    ]
+    g._core = _Kernel(tuple(peeled), tuple(branch), tuple(chains), tuple(cycles))
+    return g._core
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +340,22 @@ def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for forests.
 
-    Breadth-first search from every vertex, each undoing only what it set:
-    the first non-tree edge seen at depth d closes a cycle of length at most
-    2d+1, so a search stops once it cannot beat the best cycle found so far.
+    Every cycle lies in the 2-core, and one whose vertices all have core
+    degree 2 is a whole cycle of the kernel.  So a shortest cycle is the
+    kernel's shortest cycle or passes through a branch vertex, and only
+    those start a breadth-first search.  Each search undoes what it set,
+    and the first non-tree edge it sees at depth d closes a cycle of length
+    at most 2d+1, so it stops once it cannot beat the best found so far.
     """
-    best: int | None = None
+    kernel = _contract(g)
+    best = min((len(c) - 1 for c in kernel.cycles), default=g.n + 1)  # n + 1: none yet
     dist = [-1] * g.n
     parent = [-1] * g.n
-    for s in range(g.n):
+    for s in kernel.branch:
         dist[s] = 0
         queue = [s]
         for u in queue:  # a list grown while it is walked: a FIFO queue
-            if best is not None and 2 * dist[u] >= best:
+            if 2 * dist[u] >= best:
                 break
             for w in g.neighbors(u):
                 if dist[w] == -1:
@@ -289,12 +363,10 @@ def girth(g: Graph) -> int | None:
                     parent[w] = u
                     queue.append(w)
                 elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+                    best = min(best, dist[u] + dist[w] + 1)
         for v in queue:
             dist[v] = parent[v] = -1
-    return best
+    return best if best <= g.n else None
 
 
 # ---------------------------------------------------------------------------

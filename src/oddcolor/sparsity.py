@@ -21,12 +21,14 @@ sits at level 1 and the sink at 2, so it sends min(source, sink capacity)
 along each s->v->t.  That flow is written in place as the arcs are built.
 
 From d = 1 on, the flow runs on a kernel of the graph instead, with the
-same answer.  Take the minimal maximiser S of q*|E(S)| - p*|S|.  A vertex
-with at most one neighbour in S adds at most q - p <= 0, so every vertex of
-S has two neighbours in S and S lies in the 2-core (Batagelj & Zaversnik
-2003).  In the core, a chain of L edges whose L - 1 inner vertices have core
-degree 2 is either wholly in S with both ends or not in S at all, and then
-adds q*L - p*(L - 1).  So the kernel keeps only the branch vertices (core
+same answer.  It does not depend on d: graph.py builds it once per graph
+(graph._contract) for every flow, girth and the forest and cycle tests.
+Take the minimal maximiser S of q*|E(S)| - p*|S|.  A vertex with at most
+one neighbour in S adds at most q - p <= 0, so every vertex of S has two
+neighbours in S and S lies in the 2-core (Batagelj & Zaversnik 2003).  In
+the core, a chain of L edges whose L - 1 inner vertices have core degree 2
+is either wholly in S with both ends or not in S at all, and then adds
+q*L - p*(L - 1).  So the kernel keeps only the branch vertices (core
 degree 3 or more) and makes each chain one edge of that weight between its
 ends: parallel chains add up, a chain back to its start is a vertex weight,
 and a chain of weight <= 0 is dropped, as is a core component that is a
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, _contract
 
 
 @dataclass(frozen=True)
@@ -170,59 +172,16 @@ class _Network:
     Network node i + 1 is kernel vertex vertices[i]; 0 is the source and
     len(vertices) + 1 the sink.  kept lists the chains (vertex paths between
     kernel vertices) of positive weight with that weight, dropped the other
-    chains, and peeled the vertices outside the 2-core in peel order, each
-    with the neighbour it still had when it went (-1 for none).
+    chains, and peeled is the kernel's (graph._Kernel).
     """
 
     d: Fraction
     net: _Dinic
     saturated: bool
-    vertices: list[int]
-    kept: list[tuple[list[int], int]]
-    dropped: list[list[int]]
-    peeled: list[tuple[int, int]]
-
-
-def _contract(g: Graph) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
-    """Peel g to its 2-core and cut the core into chains.
-
-    Returns the peeled vertices (as in _Network.peeled), the branch vertices
-    (core degree 3 or more) and the chains: every path of the core whose
-    inner vertices have core degree 2 and whose ends are branch vertices,
-    once each; a chain may return to its start.  Cycle components of the
-    core have no branch vertex and appear in neither list.
-    """
-    deg = list(g.degrees())
-    alive = [True] * g.n
-    peeled = []
-    stack = [v for v in range(g.n) if deg[v] < 2]
-    while stack:
-        v = stack.pop()
-        alive[v] = False
-        left = -1
-        for w in g.neighbors(v):
-            if alive[w]:
-                left = w
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-        peeled.append((v, left))
-    branch = [v for v in range(g.n) if alive[v] and deg[v] > 2]
-    walked = [False] * g.n  # inner vertices of the chains found so far
-    chains = []
-    for a in branch:
-        for x in g.neighbors(a):
-            if not alive[x] or walked[x] or (deg[x] > 2 and x < a):
-                continue  # outside the core, or the chain was found from its other end
-            path, prev = [a], a
-            while deg[x] == 2:
-                walked[x] = True
-                path.append(x)
-                u, w = (y for y in g.neighbors(x) if alive[y])
-                prev, x = x, (w if u == prev else u)
-            path.append(x)
-            chains.append(path)
-    return peeled, branch, chains
+    vertices: Sequence[int]
+    kept: list[tuple[Sequence[int], int]]
+    dropped: list[Sequence[int]]
+    peeled: Sequence[tuple[int, int]]
 
 
 def _goldberg(g: Graph, d: Fraction) -> _Network:
@@ -247,9 +206,9 @@ def _goldberg(g: Graph, d: Fraction) -> _Network:
     if p < 0:
         raise ValueError("density threshold must be non-negative")
     if d >= 1:
-        peeled, vertices, chains = _contract(g)
+        peeled, vertices, chains, _ = _contract(g)
     else:
-        peeled, vertices, chains = [], list(range(g.n)), [[u, v] for u, v in g.edges()]
+        peeled, vertices, chains = (), range(g.n), g.edges()
     node = [0] * g.n
     for i, v in enumerate(vertices):
         node[v] = i + 1
@@ -321,7 +280,7 @@ def _orientation(g: Graph, nw: _Network) -> FractionalOrientation:
     share = [0] * g.n  # indegrees in units of 1/2q, except inside dropped chains
     inner_of_dropped: dict[int, Fraction] = {}
 
-    def along(path: list[int], take: int, absorb: int, unit: int) -> None:
+    def along(path: Sequence[int], take: int, absorb: int, unit: int) -> None:
         # path[0] takes `take` of the `unit` of its edge, each inner vertex `absorb`
         for u, v in zip(path, path[1:]):
             toward[(u, v) if u < v else (v, u)] = Fraction(unit - take if u < v else take, unit)

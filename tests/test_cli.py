@@ -356,6 +356,24 @@ class TestOrientGolden:
             assert code == (1 if out == "INFEASIBLE\n" else 0)
 
 
+class TestForestGolden:
+    """`color --strategy forest` stdout, recorded when forests came to be
+    colored in reverse kernel peel order, so that the next order change shows."""
+
+    @pytest.mark.parametrize("graph, colors", [
+        (oddcolor.gen_path(7), [1, 2, 3, 1, 2, 3, 1]),
+        (oddcolor.gen_star(5), [2, 1, 3, 1, 1, 1]),
+        # util.random_forest(random.Random(3), 12)
+        (Graph(12, [(0, 1), (0, 3), (1, 2), (1, 5), (2, 9), (2, 10), (3, 4), (5, 6), (6, 7),
+                    (6, 8), (8, 11)]), [3, 1, 2, 2, 1, 2, 3, 1, 1, 3, 1, 2]),
+    ])
+    def test_byte_identical(self, capsys, monkeypatch, graph, colors):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(graph)))
+        assert cli.main(["color", "--strategy", "forest"]) == 0
+        want = json.dumps({"k": 3, "colors": colors, "strategy": "forest", "bound": 3}) + "\n"
+        assert capsys.readouterr() == (want, "")
+
+
 class TestParserReuse:
     """One argparse parser serves every main() call of a process."""
 

@@ -34,7 +34,7 @@ from oddcolor import (
     six_reduction_records,
     subdivide,
 )
-from oddcolor import Graph, constructive, sparsity
+from oddcolor import Graph, constructive, graph, sparsity
 
 import util
 
@@ -438,6 +438,17 @@ class TestColorAuto:
         assert alone > 0 and len(calls) == (alone if strategy == "eps" else 1)
         assert result.strategy == strategy and result == engine(g)
 
+    def test_kernel_built_once_per_graph(self, monkeypatch):
+        # kstar(8) with a 60-vertex pendant path: 2m/n = 29/12 but mad 28/9,
+        # so both threshold flows run before mad_exact's, all from d = 1 on
+        g = Graph(96, [*gen_kstar(8).edges(), (0, 36), *((v, v + 1) for v in range(36, 95))])
+        built, kernel = [], graph._Kernel
+        monkeypatch.setattr(graph, "_Kernel", lambda *a: built.append(a) or kernel(*a))
+        calls = self.count_flows(monkeypatch)
+        assert mad_exact(g).mad == Fraction(28, 9)
+        assert color_auto(g).strategy == "eps"
+        assert len(calls) > 2 and len(built) == 1
+
     @pytest.mark.parametrize("g, strategy", [
         (util.roadmap_corpus(100), "five"),  # mad_exact takes 3 flows
         (subdivide(util.random_graph(random.Random(2), 40, 104)), "six"),  # 3
@@ -520,6 +531,13 @@ class TestKstarColoring:
     def test_hub_colors_fixed(self):
         result = kstar_coloring(6)
         assert result.colors[:6] == (1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_colors_pinned(self, n):
+        # as recorded before the subdivision vertices were replayed as records:
+        # the hubs, then 3 once, 2 for the rest of hub 0's pairs, 1 for all others
+        want = (*range(1, n + 1), 3, *[2] * (n - 2), *[1] * ((n - 1) * (n - 2) // 2))
+        assert kstar_coloring(n).colors == want
 
 
 class TestDeterminism:

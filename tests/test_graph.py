@@ -136,6 +136,10 @@ class TestGirth:
             g = util.random_graph(rng, n, m)
             assert girth(g) == util.brute_force_girth(g), to_edgelist(g)
 
+    def test_long_cycle_needs_no_search(self):
+        # no branch vertex: the kernel's one cycle is the answer
+        assert girth(gen_cycle(10**4)) == 10**4
+
 
 class TestGenerators:
     def test_kstar_counts(self):

@@ -4,7 +4,9 @@ Both libraries are test-side only; the package itself imports neither.
 Examples are derandomized so the suite gives the same verdict every run.
 """
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -22,10 +24,13 @@ from oddcolor import (
     color_forest,
     color_six,
     fractional_orientation,
+    girth,
     is_odd_coloring,
     mad_exact,
+    subdivide,
 )
 from oddcolor import constructive, sparsity
+from oddcolor.graph import _contract
 
 import util
 
@@ -294,6 +299,49 @@ def test_two_color_case_matches_networkx(g):
 @given(dispatch_graphs())
 def test_is_forest_matches_networkx(g):
     assert g.is_forest() == nx.is_forest(to_networkx(g))
+
+
+# chains of up to 10 edges, pendant trees, parallel chains, cycle components
+KERNEL_SHAPES = st.one_of(
+    kernel_graphs(40),
+    st.builds(subdivide, kernel_graphs(30)),
+    graphs((1, 30), (0.5, 1, 1.2, 1.5, 2), subdivide=True),
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(KERNEL_SHAPES)
+def test_kernel_matches_networkx(g):
+    peeled, branch, chains, cycles = _contract(g)
+    h = to_networkx(g)
+    core = nx.k_core(h, 2)
+    assert sorted(v for v, _ in peeled) == sorted(set(h) - set(core))
+    when = {v: i for i, (v, _) in enumerate(peeled)}
+    for v, left in peeled:  # left: v's one neighbour in the core or peeled after v
+        assert {w for w in h[v] if when.get(w, g.n) > when[v]} == ({left} - {-1})
+    assert list(branch) == sorted(v for v in core if core.degree(v) >= 3)
+    walked = Counter()
+    for path in chains:
+        assert {path[0], path[-1]} <= set(branch)
+        assert all(core.degree(x) == 2 for x in path[1:-1])
+        walked.update(frozenset(e) for e in zip(path, path[1:]))
+    plain = [c for c in nx.connected_components(core) if all(core.degree(v) == 2 for v in c)]
+    assert [set(walk) for walk in cycles] == sorted(plain, key=min)
+    for walk in cycles:  # closed, from its smallest vertex to the smaller neighbour
+        assert walk[0] == walk[-1] == min(walk) and walk[1] == min(core[walk[0]])
+        assert len(walk) == len(set(walk)) + 1
+        walked.update(frozenset(e) for e in zip(walk, walk[1:]))
+    # every core edge on exactly one chain or cycle
+    assert walked == Counter(frozenset(e) for e in core.edges())
+    assert g.is_forest() == (not core)
+    assert g.is_cycle() == (g.n > 0 and nx.is_connected(h) and all(d == 2 for _, d in h.degree()))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(KERNEL_SHAPES)
+def test_girth_matches_networkx(g):
+    want = nx.girth(to_networkx(g))
+    assert girth(g) == (None if want == math.inf else want)
 
 
 @settings(SETTINGS, max_examples=100)

@@ -7,8 +7,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddcolor import Graph, ReductionExhaustedError, Violation, sparsity, subdivide
-from oddcolor.graph import _Peeler
+from oddcolor import Graph, ReductionExhaustedError, Violation, subdivide
+from oddcolor.graph import _Peeler, _contract
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -139,7 +139,7 @@ def reference_goldberg(g: Graph, d: Fraction) -> tuple[ReferenceDinic, bool]:
     and whether that flow saturates the source arcs."""
     p, q = d.numerator, d.denominator
     if d >= 1:
-        _, vertices, chains = sparsity._contract(g)
+        _, vertices, chains, _ = _contract(g)
     else:
         vertices, chains = list(range(g.n)), [[u, v] for u, v in g.edges()]
     node = {v: i + 1 for i, v in enumerate(vertices)}
