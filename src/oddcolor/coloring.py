@@ -2,9 +2,10 @@
 
 An odd coloring is a proper vertex coloring in which every non-isolated
 vertex sees some color an odd number of times on its neighborhood.
-PartialColoring tracks, for each vertex, the set of colors with odd
-multiplicity among its currently colored neighbors, so it is available in
-O(1) while colorings are built incrementally.
+PartialColoring tracks, for each vertex, the colors with odd multiplicity
+among its currently colored neighbors as a bit mask (bit c for color c), so
+it is available in O(1) while colorings are built incrementally.  A mask
+holds bits only for colors in use, never one per color of the palette.
 """
 
 from __future__ import annotations
@@ -34,12 +35,25 @@ class Violation:
 
 
 def choose_color(avoid: Iterable[int], k: int) -> int:
-    """Smallest color in 1..k not contained in avoid (a set is used as is)."""
-    forbidden = avoid if isinstance(avoid, set) else set(avoid)
-    for c in range(1, k + 1):
-        if c not in forbidden:
-            return c
-    raise PaletteExhaustedError(f"all {k} colors forbidden by {sorted(forbidden)}")
+    """Smallest color in 1..k not contained in avoid."""
+    forbidden = set(avoid)
+    top = min(k, len(forbidden) + 1)  # one of 1..len + 1 is free
+    return _first_free(sum(1 << c for c in forbidden if 0 < c <= top), k)
+
+
+def _first_free(avoid: int, k: int) -> int:
+    """Smallest color in 1..k whose bit is clear in the mask avoid (bit c
+    stands for color c; bit 0 is ignored)."""
+    avoid |= 1
+    c = (avoid ^ (avoid + 1)).bit_length() - 1  # the lowest clear bit
+    if c > k:
+        raise PaletteExhaustedError(f"all {k} colors forbidden by {_colors(avoid)}")
+    return c
+
+
+def _colors(mask: int) -> list[int]:
+    """The colors whose bits are set in mask, least first (bit 0 aside)."""
+    return [c for c in range(1, mask.bit_length()) if mask >> c & 1]
 
 
 class PartialColoring:
@@ -59,10 +73,7 @@ class PartialColoring:
         self.graph = graph
         self.k = k
         self.color = [0] * graph.n
-        self._odd: list[set[int]] = [set() for _ in range(graph.n)]
-
-    def is_colored(self, v: int) -> bool:
-        return self.color[v] != 0
+        self._odd = [0] * graph.n  # bit c: color c is odd on the neighborhood
 
     def assign(self, v: int, c: int) -> None:
         if not 1 <= c <= self.k:
@@ -74,29 +85,13 @@ class PartialColoring:
             if color[w] == c:
                 raise ValueError(f"color {c} on {v} clashes with neighbor {w}")
         color[v] = c
+        odd, bit = self._odd, 1 << c
         for w in nbs:
-            odd = self._odd[w]
-            if c in odd:
-                odd.discard(c)
-            else:
-                odd.add(c)
+            odd[w] ^= bit
 
     def odd_color_set(self, v: int) -> set[int]:
         """Colors with odd multiplicity among v's currently colored neighbors."""
-        return set(self._odd[v])
-
-    def unique_odd_color(self, v: int) -> int | None:
-        """The single odd-multiplicity color on v's neighborhood, if exactly one.
-
-        With zero or two-plus odd colors there is nothing to protect: any
-        color placed on a new neighbor flips one parity class and leaves at
-        least one odd class intact, so avoid sets include this value only
-        when it is defined.
-        """
-        odd = self._odd[v]
-        if len(odd) == 1:
-            return next(iter(odd))
-        return None
+        return set(_colors(self._odd[v]))
 
     def is_complete(self) -> bool:
         return all(c != 0 for c in self.color)

@@ -11,7 +11,9 @@ current unique odd color of already-colored neighbors (so their odd color
 survives the new assignment).  Unique odd colors are always recomputed
 against the coloring as it stands, including vertices recolored earlier in
 the replay; with two or more odd classes nothing needs protecting, because
-a new neighbor color flips a single parity class.
+a new neighbor color flips a single parity class.  Avoid sets, like the
+parities they read (``PartialColoring``), are bit masks: bit c stands for
+color c, and the color taken is the lowest clear bit.
 
 An engine is an ordered table of rules, one per reducible configuration of
 the paper's discharging argument.  A rule names the current degrees its
@@ -21,7 +23,9 @@ lowest-indexed vertex, so reductions are fully deterministic; the eps
 engine ends in one rule keyed by charge, which picks the degree-4+ vertex
 of least charge.  Each rule keeps a lazily checked heap of candidate
 centers; a deletion pushes only the vertices within the rule's reach (its
-wake) whose degree, or a neighbour's, fell (``_Candidates``).
+wake) whose degree, or a neighbour's, fell (``_Candidates``).  Every
+engine's first rule is the leaf, which always matches, so ``_reduce_all``
+deletes every vertex of degree 0 or 1 itself before any other rule runs.
 
 Most rows are plain stars built by ``_star`` from counts: a center with at
 least t 2-neighbors, or at least w neighbors of degree at most 3, deleted
@@ -57,7 +61,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Container, NamedTuple
 
-from .coloring import PartialColoring, choose_color, is_odd_coloring
+from .coloring import PartialColoring, _first_free, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
 from .graph import Graph, _contract, _Peeler, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
@@ -232,6 +236,7 @@ class _Candidates:
     lowest center, or its center of least key.  A keyed rule's heap (the eps
     star's) is filled when first() first reaches it, and wake skips it until
     then; from that moment the invariant holds, so its choice is the same.
+    Row 0 is every engine's _LEAF, whose heap _reduce_all drains itself.
     """
 
     def __init__(self, st: _Peeler, rules: tuple[_Rule, ...]):
@@ -283,10 +288,10 @@ class _Candidates:
                                     self.push(w, [slot])
 
     def first(self) -> ReductionRecord | None:
-        """Record of the first rule that matches, at its lowest center."""
+        """Record of the first rule after row 0 that matches, at its lowest center."""
         st = self.st
         alive, deg = st.alive, st.deg
-        for rule, heap, last in self.slots:
+        for rule, heap, last in self.slots[1:]:
             if not last:  # a keyed rule reached for the first time: fill in place
                 last += [None] * len(alive)
                 for v, d in enumerate(deg):
@@ -308,10 +313,27 @@ class _Candidates:
 
 
 def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
+    """An engine's deletion sequence; it serves row 0, the leaf, itself."""
     st = _Peeler(g)
     candidates = _Candidates(st, rules)
+    adj, alive, deg = st.adj, st.alive, st.deg
+    _, leaves, last = candidates.slots[0]
     records = []
-    while st.remaining:
+    while True:
+        while leaves:
+            v = heappop(leaves)[1]
+            if last[v] is None:  # an older entry; v was popped before
+                continue
+            last[v] = None  # v is alive: only a leaf is ever deleted while this heap holds it
+            near = [w for w in adj[v] if alive[w]]  # at most one
+            records.append(ReductionRecord("leaf", (v,), {v: tuple(near)}))
+            alive[v] = False
+            st.remaining -= 1
+            for w in near:
+                deg[w] -= 1
+            candidates.wake(near)
+        if not st.remaining:
+            return records
         rec = candidates.first()
         if rec is None:
             raise ReductionExhaustedError(
@@ -319,7 +341,6 @@ def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
             )
         records.append(rec)
         candidates.wake(st.delete(rec.deleted))
-    return records
 
 
 def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
@@ -394,46 +415,49 @@ _STAR_REPLAY = {
 
 
 def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
+    # avoid sets are bit masks, bit c for color c; a vertex's unique odd color
+    # is its parity mask o when o & (o - 1) == 0 (one bit, or none: o = 0)
     k = pc.k
     col = pc.color
-    odd = pc._odd  # read only; a vertex's unique odd color is odd[x] when len(odd[x]) == 1
+    odd = pc._odd  # read only
     if rec.kind == "adjacent-4v":
         v, w = rec.deleted[0], rec.deleted[1]
         twos = rec.deleted[2:]
-        avoid = {
-            col[x] for u in twos if g.has_edge(u, v) for x in rec.frontier[u]
-        }
-        pc.assign(v, choose_color(avoid, k))
-        avoid = {col[v]} | {
-            col[x] for u in twos if g.has_edge(u, w) for x in rec.frontier[u]
-        }
-        pc.assign(w, choose_color(avoid, k))
+        avoid = {1 << col[x] for u in twos if g.has_edge(u, v) for x in rec.frontier[u]}
+        pc.assign(v, _first_free(sum(avoid), k))  # a sum of distinct bits is their union
+        avoid = {1 << col[x] for u in twos if g.has_edge(u, w) for x in rec.frontier[u]}
+        pc.assign(w, _first_free(sum(avoid | {1 << col[v]}), k))
         for u in twos:
             anchors = list(rec.frontier[u]) + [q for q in (v, w) if g.has_edge(u, q)]
-            avoid = set()
+            avoid = 0
             for p in anchors:
-                avoid.add(col[p])
-                if len(odd[p]) == 1:
-                    avoid |= odd[p]
-            pc.assign(u, choose_color(avoid, k))
+                avoid |= 1 << col[p]
+                if (o := odd[p]) & (o - 1) == 0:
+                    avoid |= o
+            pc.assign(u, _first_free(avoid, k))
         return
     protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
     surv = rec.frontier[v]
-    avoid = {col[x] for near in rec.frontier.values() for x in near}  # every frontier color
+    avoid = 0
+    for near in rec.frontier.values():  # every frontier color
+        for x in near:
+            avoid |= 1 << col[x]
     for u in surv if protect_surv else rec.protect:
-        if len(odd[u]) == 1:
-            avoid |= odd[u]
-    pc.assign(v, choose_color(avoid, k))
+        if (o := odd[u]) & (o - 1) == 0:
+            avoid |= o
+    pc.assign(v, _first_free(avoid, k))
+    shared = 1 << col[v]  # what every 2-neighbor avoids, bar its own anchor
+    if dodge_lone and len(surv) == 1:
+        shared |= 1 << col[surv[0]]
     for w in ws:
         (x,) = rec.frontier[w]
-        avoid = {col[v], col[x]}
-        for u in (x, v) if dodge_center else (x,):
-            if len(odd[u]) == 1:
-                avoid |= odd[u]
-        if dodge_lone and len(surv) == 1:
-            avoid.add(col[surv[0]])
-        pc.assign(w, choose_color(avoid, k))
+        avoid = shared | 1 << col[x]
+        if (o := odd[x]) & (o - 1) == 0:
+            avoid |= o
+        if dodge_center and (o := odd[v]) & (o - 1) == 0:
+            avoid |= o
+        pc.assign(w, _first_free(avoid, k))
 
 
 def _reduce_and_replay(

@@ -16,9 +16,15 @@ That one flow answers every threshold question here; when it saturates
 the source arcs, its edge flows are a fractional orientation with every
 indegree at most d (Hakimi 1965).  The exact mad is a Dinkelbach (1967)
 iteration of it that jumps from each found set's density to the next.
-Dinic's first phase on this network is known in closed form: every vertex
-sits at level 1 and the sink at 2, so it sends min(source, sink capacity)
-along each s->v->t.  That flow is written in place as the arcs are built.
+Dinic's first two phases on this network are known in closed form.  The
+first sends min(source, sink capacity) along each s->v->t: every vertex
+sits at level 1 and the sink at 2.  After it, a vertex with source
+capacity left has a full sink arc, so when the sink is on level 3 the
+second phase's paths are exactly s->a->b->t, a with source and b with sink
+capacity left, taken greedily in the order of Dinic's depth-first search:
+a in source-arc order, then a's chain arcs in theirs.  Both flows are
+written in place as the arcs are built; when the sink is not on level 3,
+that greedy pass finds no path and Dinic runs the second phase itself.
 
 From d = 1 on, the flow runs on a kernel of the graph instead, with the
 same answer.  It does not depend on d: graph.py builds it once per graph
@@ -197,8 +203,9 @@ def _goldberg(g: Graph, d: Fraction) -> _Network:
     chain that returns to v counts twice: a vertex weight).  Each kept chain
     between two vertices gets an arc of its weight both ways, so parallel
     chains add up.  Arc ids are fixed by construction: four per kernel
-    vertex, then four per such chain in kept order.  Each terminal pair
-    starts with Dinic's first-phase flow on it, the same arc for arc.
+    vertex, then four per such chain in kept order.  The network starts
+    with the flow of Dinic's first two phases (see the module docstring),
+    the same arc for arc, and _Dinic runs the phases after them.
     """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
@@ -243,6 +250,16 @@ def _goldberg(g: Graph, d: Fraction) -> _Network:
             head[b] += (e + 1, e + 2)
             to += (b, a, a, b)
             arcs += (weight, 0, weight, 0)
+    for a in range(1, t):  # the second phase's paths s->a->b->t, in its DFS order
+        left = arcs[4 * a - 4]
+        for e in head[a][2:] if left else ():  # the chain arcs out of a
+            if left and arcs[e] and (f := arcs[4 * to[e] - 2]):  # b = to[e] has sink capacity left
+                f = min(left, arcs[e], f)
+                for eid in (4 * a - 4, e, 4 * to[e] - 2):
+                    arcs[eid] -= f
+                    arcs[eid ^ 1] += f
+                left -= f
+                pushed += f
     saturated = net.max_flow(0, t, pushed) == cap * len(vertices)
     return _Network(d, net, saturated, vertices, kept, dropped, peeled)
 

@@ -225,6 +225,21 @@ class TestColorVerify:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["strategy"] == "exact"
 
+    def test_large_palette(self):
+        # eps = 1/10^6 allows 8000002 colors; parities and avoid sets hold
+        # bits only for the colors in use, so neither this coloring nor a
+        # palette of 10^9 builds anything of the palette's size
+        out = chain(["gen", "kstar", "5"], ["color", "--strategy", "eps", "--epsilon", "1/1000000"])
+        assert out == ('{"k": 5, "colors": [5, 4, 1, 3, 2, 1, 2, 1, 1, 2, 1, 1, 2, 3, 1], '
+                       '"strategy": "eps", "bound": 8000002}\n')
+        g = oddcolor.gen_kstar(5)
+        pc = oddcolor.PartialColoring(g, 10**9)
+        for hub in range(3):
+            pc.assign(hub, hub + 1)
+        for v in range(g.n):
+            cols = [pc.color[w] for w in g.neighbors(v) if pc.color[w]]
+            assert pc.odd_color_set(v) == {c for c in cols if cols.count(c) % 2}
+
 
 class TestGen:
     def test_kstar_edge_count(self):

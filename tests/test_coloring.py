@@ -54,36 +54,19 @@ class TestPartialColoring:
         for leaf, c in zip((1, 2, 3), (1, 1, 2)):
             pc.assign(leaf, c)
         assert pc.odd_color_set(0) == {2}
-        assert pc.unique_odd_color(0) == 2
+        assert len(pc.odd_color_set(0)) == 1
 
         pc = PartialColoring(star, 4)
         for leaf, c in zip((1, 2, 3), (1, 2, 3)):
             pc.assign(leaf, c)
         assert pc.odd_color_set(0) == {1, 2, 3}
-        assert pc.unique_odd_color(0) is None
+        assert len(pc.odd_color_set(0)) != 1
 
         pc = PartialColoring(star, 4)
         pc.assign(1, 1)
         pc.assign(2, 1)
         assert pc.odd_color_set(0) == set()
-        assert pc.unique_odd_color(0) is None
-
-    def test_unique_odd_iff_singleton(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            n = rng.randint(2, 10)
-            g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-            pc = PartialColoring(g, 6)
-            for v in range(n):
-                if rng.random() < 0.6:
-                    free = [c for c in range(1, 7)
-                            if all(pc.color[w] != c for w in g.neighbors(v))]
-                    if free:
-                        pc.assign(v, rng.choice(free))
-            for v in range(n):
-                odd = pc.odd_color_set(v)
-                unique = pc.unique_odd_color(v)
-                assert (unique is not None) == (len(odd) == 1)
+        assert len(pc.odd_color_set(0)) != 1
 
     def test_parity_matches_recount_under_stress(self):
         rng = random.Random(23)
@@ -91,7 +74,7 @@ class TestPartialColoring:
         pc = PartialColoring(g, 6)
         ops = 0
         while ops < 10_000:
-            moves = [(v, c) for v in range(g.n) if not pc.is_colored(v)
+            moves = [(v, c) for v in range(g.n) if pc.color[v] == 0
                      for c in range(1, 7) if all(pc.color[w] != c for w in g.neighbors(v))]
             if not moves:  # every vertex colored or stuck: start a fresh coloring
                 pc = PartialColoring(g, 6)

@@ -38,10 +38,6 @@ from oddcolor import Graph, constructive, graph, sparsity
 
 import util
 
-# two adjacent 4-vertices sharing a degree-2 neighbor (vertex 4), closed by
-# a mirrored pair so no cheaper configuration of the 5-color engine exists
-ADJACENT_4V_GRAPH = Graph(10, [(0, 1), (0, 4), (1, 4), (0, 5), (0, 6), (1, 7), (1, 8),
-                               (2, 3), (2, 9), (3, 9), (2, 5), (2, 6), (3, 7), (3, 8)])
 
 def assert_valid(g, result):
     ok, violations = is_odd_coloring(g, result.colors)
@@ -271,7 +267,7 @@ class TestColorFive:
     def test_adjacent_four_vertices_with_shared_two_vertex(self):
         # the shared degree-2 vertex 4 has an empty frontier and both its
         # anchors are recolored within the same record
-        g = ADJACENT_4V_GRAPH
+        g = util.ADJACENT_4V_GRAPH
         records = five_reduction_records(g)
         first = records[0]
         assert first.kind == "adjacent-4v"
@@ -575,7 +571,7 @@ def golden_corpus():
         seed += 1
     corpus = [item for items in bands.values() for item in items]
     corpus += [(f"kstar-{n}", gen_kstar(n)) for n in (5, 6, 7)]
-    return corpus + [("adjacent-4v", ADJACENT_4V_GRAPH)]
+    return corpus + [("adjacent-4v", util.ADJACENT_4V_GRAPH)]
 
 
 def _sha256(obj):

@@ -17,6 +17,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from oddcolor import (
     Graph,
+    PaletteExhaustedError,
     PartialColoring,
     color_auto,
     color_eps,
@@ -24,6 +25,7 @@ from oddcolor import (
     color_forest,
     color_six,
     fractional_orientation,
+    gen_kstar,
     girth,
     is_odd_coloring,
     mad_exact,
@@ -252,6 +254,56 @@ def test_reduction_order_on_kernel_graphs(g):
     assert_reductions_match_the_rescan(g)
 
 
+def replay_by_masks(g, records, k):
+    pc = PartialColoring(g, k)
+    for rec in reversed(records):
+        constructive._replay(pc, rec, g)
+    return pc.color
+
+
+def replay_outcome(replay, g, records, k):
+    try:
+        return replay(g, records, k)
+    except (PaletteExhaustedError, ValueError) as exc:
+        return f"raised: {type(exc).__name__}"
+
+
+def assert_replays_match_the_sets(g):
+    # the package's bit-mask replay colors every record as the set-based
+    # oracle does, on all three engines; returns the record kinds replayed
+    engines = [(constructive._FIVE, 5), (constructive._SIX, 6)]
+    engines += [constructive._eps_engine(eps) for eps in (Fraction(1, 2), Fraction(1), Fraction(8, 5))]
+    kinds = set()
+    for rules, k in engines:
+        try:
+            records = constructive._reduce_all(g, rules)
+        except constructive.ReductionExhaustedError:
+            continue
+        got = replay_outcome(replay_by_masks, g, records, k)
+        assert got == replay_outcome(util.replay_by_sets, g, records, k)
+        kinds.update(r.kind for r in records)
+    return kinds
+
+
+@settings(SETTINGS, max_examples=100)
+@given(graphs((4, 40), (0.8, 1, 1.5, 2, 2.5, 3), subdivide=True))
+def test_mask_replay_on_partial_subdivisions(g):
+    assert_replays_match_the_sets(g)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(kernel_graphs(40))
+def test_mask_replay_on_kernel_graphs(g):
+    assert_replays_match_the_sets(g)
+
+
+def test_mask_replay_covers_adjacent_four_and_star():
+    # the five engine meets adjacent-4v, the eps engine star
+    kinds = assert_replays_match_the_sets(util.ADJACENT_4V_GRAPH)
+    kinds |= assert_replays_match_the_sets(gen_kstar(6))
+    assert {"adjacent-4v", "star"} <= kinds
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -356,9 +408,9 @@ def test_rejected_assign_changes_nothing(g, seed):
         if free:
             pc.assign(v, rng.choice(free))
     before = (list(pc.color), [pc.odd_color_set(v) for v in range(g.n)])
-    bad = [(u, pc.color[w]) for u in range(g.n) if not pc.is_colored(u)
-           for w in g.neighbors(u) if pc.is_colored(w)]
-    bad += [(v, pc.color[v] % 4 + 1) for v in range(g.n) if pc.is_colored(v)]
+    bad = [(u, pc.color[w]) for u in range(g.n) if pc.color[u] == 0
+           for w in g.neighbors(u) if pc.color[w] != 0]
+    bad += [(v, pc.color[v] % 4 + 1) for v in range(g.n) if pc.color[v] != 0]
     bad += [(0, 0), (0, 5)]
     for v, c in bad:
         with pytest.raises(ValueError):

@@ -193,6 +193,14 @@ def reference_flow_corpus():
     return graphs
 
 
+def auto_shaped_graphs():
+    """Nine seeded graphs shaped like the inputs of `color --strategy auto`:
+    floor(r*N) random edges on N vertices, r in {1.5, 2.6, 3.2} and N in
+    {30, 45, 60}, with every edge then subdivided."""
+    rng = random.Random(61)
+    return [subdivide(util.random_graph(rng, n, int(r * n))) for r in (1.5, 2.6, 3.2) for n in (30, 45, 60)]
+
+
 class TestFlowMatchesReference:
     """The package's flow against util.ReferenceDinic, which builds the same
     network arc by arc and runs Dinic from its first BFS: the same arcs, the
@@ -206,12 +214,21 @@ class TestFlowMatchesReference:
         assert nw.net.cap == ref.cap, (g.n, list(g.edges()), d)
         assert nw.net.level == ref.level, (g.n, list(g.edges()), d)
         assert nw.saturated == saturated
+        return ref
 
     def test_seeded_graphs(self):
         for g in reference_flow_corpus():
             m_over_n = Fraction(g.m, g.n)
             for d in (Fraction(1, 3), Fraction(1), m_over_n, Fraction(10, 7), Fraction(3, 2), Fraction(2)):
                 self.assert_same(g, d)
+        # the two thresholds color_auto decides, where the package writes
+        # the second phase's flow in closed form: some of it must be there
+        second_phase = 0
+        for g in auto_shaped_graphs():
+            for d in (Fraction(10, 7) - Fraction(1, 28 * g.n), Fraction(3, 2) - Fraction(1, 4 * g.n)):
+                ref = self.assert_same(g, d)
+                second_phase += len(ref.phase_flows) > 1 and ref.phase_flows[1] > 0
+        assert second_phase
 
     def test_star_at_zero(self):
         # the center's sink arc has capacity m*q - q*deg = 0

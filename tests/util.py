@@ -7,7 +7,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddcolor import Graph, ReductionExhaustedError, Violation, subdivide
+from oddcolor import (
+    Graph,
+    PaletteExhaustedError,
+    ReductionExhaustedError,
+    Violation,
+    subdivide,
+)
 from oddcolor.graph import _Peeler, _contract
 
 
@@ -70,6 +76,7 @@ class ReferenceDinic:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.level: list[int] = []
+        self.phase_flows: list[int] = []  # the flow each phase carried, first phase first
 
     def add_edge(self, u: int, v: int, c: int) -> None:
         self.head[u].append(len(self.to))
@@ -128,8 +135,10 @@ class ReferenceDinic:
                 self.level = level
                 return total
             it = [0] * self.size
+            self.phase_flows.append(0)
             while pushed := self._augment(s, t, level, it):
                 total += pushed
+                self.phase_flows[-1] += pushed
 
 
 def reference_goldberg(g: Graph, d: Fraction) -> tuple[ReferenceDinic, bool]:
@@ -352,6 +361,70 @@ def roadmap_corpus(n: int, seed: int = 1) -> Graph:
         if u != v:
             chosen.add((min(u, v), max(u, v)))
     return subdivide(Graph(n, sorted(chosen)))
+
+
+# two adjacent 4-vertices sharing a degree-2 neighbor (vertex 4), closed by
+# a mirrored pair so no cheaper configuration of the 5-color engine exists
+ADJACENT_4V_GRAPH = Graph(10, [(0, 1), (0, 4), (1, 4), (0, 5), (0, 6), (1, 7), (1, 8),
+                               (2, 3), (2, 9), (3, 9), (2, 5), (2, 6), (3, 7), (3, 8)])
+
+
+def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
+    """Colors from replaying an engine's records in reverse, with avoid sets
+    and odd-color sets held as Python sets: an oracle for
+    constructive._replay, which holds both as bit masks.  Each vertex takes
+    the smallest color in 1..k outside its avoid set; a vertex's unique odd
+    color is the one color of odd multiplicity among its colored neighbors,
+    when there is exactly one."""
+    col = [0] * g.n
+    odd: list[set[int]] = [set() for _ in range(g.n)]
+
+    def unique(x: int) -> set[int]:
+        return odd[x] if len(odd[x]) == 1 else set()
+
+    def assign(v: int, avoid: set[int]) -> None:
+        c = next((c for c in range(1, k + 1) if c not in avoid), None)
+        if c is None:
+            raise PaletteExhaustedError(f"all {k} colors forbidden by {sorted(avoid)}")
+        if any(col[w] == c for w in g.neighbors(v)):
+            raise ValueError(f"color {c} on {v} clashes with a neighbor")
+        col[v] = c
+        for w in g.neighbors(v):
+            odd[w] ^= {c}
+
+    for rec in reversed(records):
+        if rec.kind == "adjacent-4v":
+            v, w, *twos = rec.deleted
+            assign(v, {col[x] for u in twos if g.has_edge(u, v) for x in rec.frontier[u]})
+            assign(w, {col[v]} | {col[x] for u in twos if g.has_edge(u, w) for x in rec.frontier[u]})
+            for u in twos:
+                anchors = [*rec.frontier[u], *(q for q in (v, w) if g.has_edge(u, q))]
+                assign(u, {col[p] for p in anchors}.union(*map(unique, anchors)))
+            continue
+        protect_surv, dodge_center, dodge_lone = {
+            "leaf": (True, False, False),
+            "three-vertex": (True, False, False),
+            "3v-with-2nbr": (True, False, False),
+            "5v-five-2nbrs": (True, False, False),
+            "adjacent-2": (True, False, True),
+            "4v-three-2nbrs": (True, False, True),
+            "star": (True, True, False),
+            "3v-weak-pair": (False, False, True),
+            "4v-weak": (False, True, False),
+        }[rec.kind]
+        v, ws = rec.deleted[0], rec.deleted[1:]
+        surv = rec.frontier[v]
+        avoid = {col[x] for near in rec.frontier.values() for x in near}
+        assign(v, avoid.union(*map(unique, surv if protect_surv else rec.protect)))
+        for w in ws:
+            (x,) = rec.frontier[w]
+            avoid = {col[v], col[x]} | unique(x)
+            if dodge_center:
+                avoid |= unique(v)
+            if dodge_lone and len(surv) == 1:
+                avoid.add(col[surv[0]])
+            assign(w, avoid)
+    return col
 
 
 def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:

@@ -6,7 +6,11 @@
         --workload auto --seed 1 --pairs 1 --seconds 55 --trace --out BENCH_13.json
 
 Each side runs `python3 perfbench/run.py` from the root of its own checkout,
-so each imports its own src/.  The parent goes first in odd-numbered pairs
+so each imports its own src/.  Each side keeps its bytecode in a directory
+of its own (PYTHONPYCACHEPREFIX), made for the call and kept across its
+pairs, with PYTHONDONTWRITEBYTECODE unset: a __pycache__ left in either
+checkout is neither read nor written, so it cannot speed up one side's
+imports and with them its setup_s.  The parent goes first in odd-numbered pairs
 and the change in even-numbered ones.  The output file gathers the runs of
 every invocation; each call adds its runs and recomputes, per (workload,
 seed), the quartiles of each end-to-end metric on each side and the number
@@ -27,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -38,11 +43,15 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, list[str]]:
-    """One perfbench run; its final JSON line and the report lines before it."""
+def run_side(checkout: Path, pycache: Path, workload: str, seed: int, seconds: float,
+             trace: bool) -> tuple[dict, list[str]]:
+    """One perfbench run with its bytecode under pycache; its final JSON
+    line and the report lines before it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "1" if trace else "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
@@ -103,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench": {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0, from a checkout of each side",
             "order": "alternating pairs: the parent runs first in odd-numbered pairs, the change in even-numbered ones",
+            "bytecode": "each side runs with PYTHONPYCACHEPREFIX set to a directory of its own, kept across "
+                        "the pairs of one call, and PYTHONDONTWRITEBYTECODE unset; no __pycache__ in a "
+                        "checkout is read",
             "summary": [],
             "runs": [],
         },
@@ -114,35 +126,37 @@ def main(argv: list[str] | None = None) -> int:
         doc["perfbench"]["summary"] = summarize(doc["perfbench"]["runs"], better)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    if args.trace:
-        traced = {"command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-                             f"--seconds {args.seconds:g} --trace 1, one back-to-back pair, parent first"}
-        for side in ("parent", "change"):
-            result, lines = run_side(sides[side], args.workload, args.seed, args.seconds, True)
-            start = next((i for i, line in enumerate(lines) if line.startswith("bucket")), 0)
-            traced[side] = {
-                "attempted": result["attempted"],
-                "failed": result["failed"],
-                "metrics": {k: round(v["value"], 4) for k, v in result["metrics"].items()},
-                "per_size_breakdown": lines[start:],
-            }
-            print(f"traced {side}: attempted {result['attempted']}", flush=True)
-        doc["traced"] = traced
-        save()
-    else:
-        runs = doc["perfbench"]["runs"]
-        first = 1 + max((r["pair"] for r in runs if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=0)
-        for pair in range(first, first + args.pairs):
-            for side in (("parent", "change") if pair % 2 else ("change", "parent")):
-                result, _ = run_side(sides[side], args.workload, args.seed, args.seconds, False)
-                metrics = {k: round(v["value"], 5) for k, v in result["metrics"].items()}
-                runs.append({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                             "pair": pair, "side": side, "correct": result["correct"],
-                             "attempted": result["attempted"], "failed": result["failed"],
-                             "metrics": metrics})
-                print(f"{args.workload} seed {args.seed} pair {pair} {side}: "
-                      f"op_p50_ms {metrics.get('op_p50_ms')}", flush=True)
-            save()  # after every pair, so that a cut run keeps the pairs it finished
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        pycache = Path(tmp)
+        if args.trace:
+            traced = {"command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
+                                 f"--seconds {args.seconds:g} --trace 1, one back-to-back pair, parent first"}
+            for side in ("parent", "change"):
+                result, lines = run_side(sides[side], pycache / side, args.workload, args.seed, args.seconds, True)
+                start = next((i for i, line in enumerate(lines) if line.startswith("bucket")), 0)
+                traced[side] = {
+                    "attempted": result["attempted"],
+                    "failed": result["failed"],
+                    "metrics": {k: round(v["value"], 4) for k, v in result["metrics"].items()},
+                    "per_size_breakdown": lines[start:],
+                }
+                print(f"traced {side}: attempted {result['attempted']}", flush=True)
+            doc["traced"] = traced
+            save()
+        else:
+            runs = doc["perfbench"]["runs"]
+            first = 1 + max((r["pair"] for r in runs if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=0)
+            for pair in range(first, first + args.pairs):
+                for side in (("parent", "change") if pair % 2 else ("change", "parent")):
+                    result, _ = run_side(sides[side], pycache / side, args.workload, args.seed, args.seconds, False)
+                    metrics = {k: round(v["value"], 5) for k, v in result["metrics"].items()}
+                    runs.append({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                                 "pair": pair, "side": side, "correct": result["correct"],
+                                 "attempted": result["attempted"], "failed": result["failed"],
+                                 "metrics": metrics})
+                    print(f"{args.workload} seed {args.seed} pair {pair} {side}: "
+                          f"op_p50_ms {metrics.get('op_p50_ms')}", flush=True)
+                save()  # after every pair, so that a cut run keeps the pairs it finished
     return 0
 
 
