@@ -83,21 +83,6 @@ class FractionalOrientation:
     indegree: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class MadDecision:
-    """Outcome of comparing mad(G) against a threshold alpha.
-
-    If holds (mad <= alpha), orientation certifies it with all indegrees at
-    most alpha/2.  Otherwise counterexample is a vertex set whose density
-    exceeds alpha/2.
-    """
-
-    holds: bool
-    orientation: FractionalOrientation | None = None
-    counterexample: tuple[int, ...] | None = None
-    counterexample_density: Fraction | None = None
-
-
 class _Dinic:
     """Max flow on integer capacities (Dinic's algorithm, iterative DFS).
     The caller fills head[u] (arc ids out of u, in the order the DFS tries
@@ -379,39 +364,23 @@ def mad_exact(g: Graph) -> DensestWitness:
 def mad_below(g: Graph, alpha: Fraction | int) -> bool:
     """Decide mad(G) < alpha (strict) with at most one flow computation.
 
-    When 2m >= alpha*n the whole graph is a witness and no flow runs.
-    Otherwise, subgraph densities have denominator at most n, so shifting
-    the threshold alpha/2 down by 1/(4*b*n) (b = denominator of alpha)
-    separates "some subgraph has density >= alpha/2" from the rest.
+    A subgraph's mad has denominator at most n, so none lies strictly
+    between alpha - 1/(2*b*n) (b = alpha's denominator) and alpha.
     """
     alpha = Fraction(alpha)
-    if g.n and 2 * g.m >= alpha * g.n:
-        return False
-    # the empty graph goes on to the flow, which rejects it
-    margin = Fraction(1, 4 * alpha.denominator * max(g.n, 1))
-    return _denser_subgraph(g, alpha / 2 - margin) is None
+    return mad_at_most(g, alpha - Fraction(1, 2 * alpha.denominator * max(g.n, 1)))
 
 
 def mad_at_most(g: Graph, alpha: Fraction | int) -> bool:
-    """Decide mad(G) <= alpha with a single flow and no certificates."""
-    return _denser_subgraph(g, Fraction(alpha) / 2) is None
+    """Decide mad(G) <= alpha with at most one flow and no certificates.
 
-
-def mad_decide(g: Graph, alpha: Fraction | int) -> MadDecision:
-    """Decide mad(G) <= alpha with one flow; certify either answer.
-
-    True comes with a fractional orientation of maximum indegree alpha/2;
-    false comes with a vertex set of density above alpha/2.
+    When 2m > alpha*n the whole graph is a witness and no flow runs.
     """
-    nw = _goldberg(g, Fraction(alpha) / 2)
-    if nw.saturated:
-        return MadDecision(True, _orientation(g, nw))
-    found = _source_vertices(nw)
-    return MadDecision(
-        False,
-        counterexample=tuple(found),
-        counterexample_density=subset_density(g, found),
-    )
+    alpha = Fraction(alpha)
+    if g.n and 2 * g.m > alpha * g.n:
+        return False
+    # the empty graph goes on to the flow, which rejects it
+    return _denser_subgraph(g, alpha / 2) is None
 
 
 def fractional_orientation(g: Graph, alpha: Fraction | int) -> FractionalOrientation | None:

@@ -14,7 +14,6 @@ from oddcolor import (
     gen_path,
     mad_at_most,
     mad_below,
-    mad_decide,
     mad_exact,
     subdivide,
     subset_density,
@@ -83,45 +82,6 @@ class TestMadExact:
         with pytest.raises(RuntimeError, match="returned a set of density 4/3"):
             mad_exact(gen_kstar(5))
         assert calls == [Fraction(4, 3)]
-
-
-class TestMadDecide:
-    def test_complete_four(self):
-        decision = mad_decide(gen_complete(4), 3)
-        assert decision.holds
-        assert max(decision.orientation.indegree) <= Fraction(3, 2)
-
-    def test_kstar_six_threshold(self):
-        g = gen_kstar(6)
-        assert mad_decide(g, Fraction(20, 7)).holds
-        refuted = mad_decide(g, 2)
-        assert not refuted.holds
-        assert refuted.counterexample_density > 1
-        assert subset_density(g, refuted.counterexample) == refuted.counterexample_density
-
-    def test_cycle(self):
-        assert mad_decide(gen_cycle(5), 2).holds
-
-    def test_orientation_certificate_respects_bound(self):
-        rng = random.Random(37)
-        for _ in range(25):
-            n = rng.randint(2, 10)
-            g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
-            alpha = mad_exact(g).mad
-            decision = mad_decide(g, alpha)
-            assert decision.holds
-            assert max(decision.orientation.indegree) <= alpha / 2
-
-    @pytest.mark.parametrize("alpha", [2, Fraction(20, 7), 3])
-    def test_one_flow(self, monkeypatch, alpha):
-        # both certificates come from the same flow on Goldberg's network
-        calls = []
-        flow = sparsity._Dinic.max_flow
-        monkeypatch.setattr(
-            sparsity._Dinic, "max_flow", lambda *a: calls.append(a) or flow(*a)
-        )
-        decision = mad_decide(gen_kstar(6), alpha)
-        assert decision.holds == (alpha >= Fraction(20, 7)) and len(calls) == 1
 
 
 class TestKernel:
@@ -257,18 +217,72 @@ class TestMadBelow:
         (gen_cycle(5), 1),
         (Graph(3, []), 0),
         (Graph(3, []), -1),
+        (gen_complete(5), 3),
+        (gen_kstar(7), 2),
     ])
     def test_no_flow_when_the_whole_graph_reaches_alpha(self, monkeypatch, g, alpha):
         assert 2 * g.m >= alpha * g.n
         calls = []
         monkeypatch.setattr(sparsity, "_denser_subgraph", lambda *a: calls.append(a))
         assert not mad_below(g, alpha)
+        if 2 * g.m > alpha * g.n:  # mad_at_most's test is strict
+            assert not mad_at_most(g, alpha)
         assert calls == []
 
+    @pytest.mark.parametrize("g, alpha", [
+        (gen_kstar(6), Fraction(20, 7)),
+        (gen_cycle(5), 2),
+    ])
+    def test_at_most_runs_its_flow_when_2m_equals_alpha_n(self, monkeypatch, g, alpha):
+        assert 2 * g.m == alpha * g.n
+        calls = []
+        flow = sparsity._denser_subgraph
+        monkeypatch.setattr(sparsity, "_denser_subgraph", lambda *a: calls.append(a) or flow(*a))
+        assert mad_at_most(g, alpha)
+        assert [d for _, d in calls] == [Fraction(alpha) / 2]
+
+    def test_negative_alpha_is_false(self):
+        for g in (Graph(3, []), gen_cycle(5), gen_kstar(5)):
+            assert not mad_below(g, -1) and not mad_at_most(g, -1)
+            assert not mad_at_most(g, Fraction(-1, 3))
+
     def test_empty_graph_still_rejected(self):
-        for alpha in (-1, 0, 3):
-            with pytest.raises(ValueError):
-                mad_below(Graph(0, []), alpha)
+        for decide in (mad_below, mad_at_most):
+            for alpha in (-1, 0, 3):
+                with pytest.raises(ValueError):
+                    decide(Graph(0, []), alpha)
+
+    def test_flow_thresholds_are_pinned(self, monkeypatch):
+        # mad_below(g, a/b) runs its flow at a/2b - 1/(4bn), and only when
+        # 2m < alpha*n; mad_at_most at alpha/2, and only when 2m <= alpha*n
+        rng = random.Random(67)
+        graphs = [gen_kstar(k) for k in (5, 6, 7)]
+        for _ in range(12):
+            n = rng.randint(4, 12)
+            g = util.random_graph(rng, n, rng.randint(n, 3 * n))
+            graphs += [subdivide(g), util.partial_subdivide(rng, g, 0.5)]
+        seen = []
+        flow = sparsity._denser_subgraph
+        monkeypatch.setattr(sparsity, "_denser_subgraph", lambda g, d: seen.append(d) or flow(g, d))
+        flows = 0
+        for g in graphs:
+            mad = mad_exact(g).mad
+            for alpha in (Fraction(20, 7), Fraction(3), Fraction(5, 2)):
+                seen.clear()
+                assert mad_below(g, alpha) == (mad < alpha)
+                margin = Fraction(1, 4 * alpha.denominator * g.n)
+                assert seen == ([alpha / 2 - margin] if 2 * g.m < alpha * g.n else [])
+                flows += len(seen)
+                seen.clear()
+                assert mad_at_most(g, alpha) == (mad <= alpha)
+                assert seen == ([alpha / 2] if 2 * g.m <= alpha * g.n else [])
+                flows += len(seen)
+        assert flows >= 80  # 44 of mad_below's and 47 of mad_at_most's
+
+    def test_denser_set_above_the_threshold(self):
+        g = gen_kstar(6)
+        found = sparsity._denser_subgraph(g, Fraction(1))
+        assert found is not None and subset_density(g, found) > 1
 
 
 class TestFractionalOrientation:
@@ -313,6 +327,17 @@ class TestFractionalOrientation:
     def test_edgeless(self):
         fo = fractional_orientation(Graph(3, []), 0)
         assert fo is not None and fo.weights == {}
+
+    @pytest.mark.parametrize("alpha", [2, Fraction(20, 7), 3])
+    def test_one_flow(self, monkeypatch, alpha):
+        # the answer and the orientation come from one flow on Goldberg's network
+        calls = []
+        flow = sparsity._Dinic.max_flow
+        monkeypatch.setattr(
+            sparsity._Dinic, "max_flow", lambda *a: calls.append(a) or flow(*a)
+        )
+        fo = fractional_orientation(gen_kstar(6), alpha)
+        assert (fo is None) == (alpha < Fraction(20, 7)) and len(calls) == 1
 
 
 class TestBruteForceMad:

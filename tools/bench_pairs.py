@@ -17,7 +17,8 @@ seed), the quartiles of each end-to-end metric on each side and the number
 of pairs in which the change was better (the direction comes from the
 parent's BENCHMARK.json).  With --trace, one back-to-back pair runs with
 --trace 1, parent first, and its per-layer report replaces the file's
-"traced" entry.  Stdlib only.  It edits nothing under perfbench/; run.py
+"traced" entry.  Each side's entry holds a digest and the line count of
+its src/.  Stdlib only.  It edits nothing under perfbench/; run.py
 itself keeps its work directory and --trace spans there.
 """
 
@@ -41,6 +42,11 @@ def src_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src").rglob("*.py")):
         h.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()[:16]
+
+
+def src_lines(checkout: Path) -> int:
+    """Total line count of the .py files under src/, so a shrink is on record."""
+    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
 def run_side(checkout: Path, pycache: Path, workload: str, seed: int, seconds: float,
@@ -120,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     for side, checkout in sides.items():
-        doc[side] = {"src_sha256": src_digest(checkout)}
+        doc[side] = {"src_sha256": src_digest(checkout), "src_lines": src_lines(checkout)}
 
     def save() -> None:
         doc["perfbench"]["summary"] = summarize(doc["perfbench"]["runs"], better)
