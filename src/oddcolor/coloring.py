@@ -34,13 +34,6 @@ class Violation:
     where: tuple[int, int] | int
 
 
-def choose_color(avoid: Iterable[int], k: int) -> int:
-    """Smallest color in 1..k not contained in avoid."""
-    forbidden = set(avoid)
-    top = min(k, len(forbidden) + 1)  # one of 1..len + 1 is free
-    return _first_free(sum(1 << c for c in forbidden if 0 < c <= top), k)
-
-
 def _first_free(avoid: int, k: int) -> int:
     """Smallest color in 1..k whose bit is clear in the mask avoid (bit c
     stands for color c; bit 0 is ignored)."""

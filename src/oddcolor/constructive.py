@@ -15,27 +15,29 @@ a new neighbor color flips a single parity class.  Avoid sets, like the
 parities they read (``PartialColoring``), are bit masks: bit c stands for
 color c, and the color taken is the lowest clear bit.
 
-An engine is an ordered table of rules, one per reducible configuration of
-the paper's discharging argument.  A rule names the current degrees its
-center may have and a match function that returns the configuration's
-record at a vertex, or None.  The first rule that matches wins, at its
-lowest-indexed vertex, so reductions are fully deterministic; the eps
-engine ends in one rule keyed by charge, which picks the degree-4+ vertex
-of least charge.  Each rule keeps a lazily checked heap of candidate
-centers; a deletion pushes only the vertices within the rule's reach (its
-wake) whose degree, or a neighbour's, fell (``_Candidates``).  Every
-engine's first rule is the leaf, which always matches, so ``_reduce_all``
-deletes every vertex of degree 0 or 1 itself before any other rule runs.
+The reduction loop (``_reduce_all``) first deletes every leaf, a vertex of
+degree 0 or 1, lowest index first, as each appears; only when none is left
+does it consult the engine's rules.  An engine is an ordered table of
+rules, one per reducible configuration of the paper's discharging
+argument.  A rule names the current degrees its center may have and a
+match function that returns the configuration's record at a vertex, or
+None.  The first rule that matches wins, at its lowest-indexed vertex, so
+reductions are fully deterministic; the eps engine ends in one rule keyed
+by charge, which picks the degree-4+ vertex of least charge.  One object
+(``_Reducer``) holds the loop's state: the alive vertices, their current
+degrees, the leaf heap and, per rule, a lazily checked heap of candidate
+centers, to which a deletion pushes only the vertices within the rule's
+reach (its wake) whose degree, or a neighbour's, fell.
 
 Most rows are plain stars built by ``_star`` from counts: a center with at
 least t 2-neighbors, or at least w neighbors of degree at most 3, deleted
 with some of its 2-neighbors; the row's wake follows from those counts.
-Three rows keep a match function and a wake of their own: 3v-weak-pair
-(its protect set), adjacent-4v (two centers) and the eps star (its charge
-key and bound checks).  The 5-color engine keeps its two 4v-weak rows
-separate: every center the first (four 2-neighbors) accepts, the second (a
-2-neighbor and only weak neighbors) accepts too, so one merged row would
-pick the lowest center of either shape and change the reduction sequence.
+Two rows keep a match function and a wake of their own: adjacent-4v (two
+centers) and the eps star (its charge key and bound checks).  The 5-color
+engine keeps its two 4v-weak rows separate: every center the first (four
+2-neighbors) accepts, the second (a 2-neighbor and only weak neighbors)
+accepts too, so one merged row would pick the lowest center of either
+shape and change the reduction sequence.
 
 Every record kind except adjacent-4v is a star: a center, colored first,
 and some of its degree-2 neighbors.  One replay colors all of them, driven
@@ -63,7 +65,7 @@ from typing import Callable, Container, NamedTuple
 
 from .coloring import PartialColoring, _first_free, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
-from .graph import Graph, _contract, _Peeler, gen_kstar
+from .graph import Graph, _contract, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
 
 
@@ -101,7 +103,7 @@ class ColoringResult:
     strategy: str
 
 
-_Match = Callable[[_Peeler, int], ReductionRecord | None]
+_Match = Callable[["_Reducer", int], ReductionRecord | None]
 
 
 class _Rule(NamedTuple):
@@ -120,18 +122,135 @@ class _Rule(NamedTuple):
     match: _Match
     wake: tuple[int, ...] = ()
     far: bool = False
-    key: Callable[[_Peeler, int], int] | None = None
+    key: Callable[[_Reducer, int], int] | None = None
 
 
 _Slot = tuple[_Rule, list[tuple[int, int]], list[int | None]]  # rule, heap, last
 
 
-def _two_neighbors(st: _Peeler, v: int) -> list[int]:
+class _Reducer:
+    """One reduction's state: the alive vertices, their current degrees, how
+    many remain, a min-heap of leaves (vertices of degree below 2) and, per
+    rule, a lazily checked min-heap of candidate centers.  delete queues every
+    vertex it brings below degree 2 and a pop skips dead entries, so a leaf
+    queued at degree 1 and again at 0 is recorded once.
+
+    Every alive vertex that matches a rule has an entry (key, v) in the
+    rule's heap with its current key (0 for a rule without one).
+    Degrees only fall, so after a deletion a vertex can start matching, or
+    change its key, only if its own degree fell or, within the rule's
+    reach, a neighbour's did: wake pushes exactly those.  A rule's last[v]
+    is the key of v's newest entry, None once that entry is popped, so v is
+    queued once per key and its older entries are skipped.  The entry at
+    the top is checked again (alive, of the rule's degree, matching) and
+    dropped when it fails, so the first that passes is the first rule's
+    lowest center, or its center of least key.  A keyed rule's heap (the eps
+    star's) is filled when first() first reaches it, and wake skips it until
+    then; from that moment the invariant holds, so its choice is the same.
+    """
+
+    def __init__(self, g: Graph, rules: tuple[_Rule, ...]):
+        self.adj = g._adj
+        self.alive = [True] * g.n
+        self.deg = deg = list(g.degrees())
+        self.remaining = g.n
+        self.leaves = [v for v, d in enumerate(deg) if d < 2]  # in index order: a heap
+        # one (rule, heap, last) slot per rule, in priority order; a keyed
+        # rule's last stays empty until its heap is filled
+        self.slots = [(rule, [], [] if rule.key else [None] * g.n) for rule in rules]
+        top = max(deg, default=0) + 1
+        # own[d]: the slots whose centers may have degree d; near[du][dv]:
+        # those a neighbour of degree dv is pushed to when u falls to du
+        self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(top)]
+        self.near = {
+            du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
+            for du in {du for rule in rules for du in rule.wake}
+        }
+        for v, d in enumerate(deg):  # in index order, so each list is a heap
+            for _, heap, last in self.own[d]:
+                if last:
+                    last[v] = 0
+                    heap.append((0, v))
+
+    def nbrs(self, v: int) -> list[int]:
+        alive = self.alive
+        return [w for w in self.adj[v] if alive[w]]
+
+    def delete(self, vs: tuple[int, ...]) -> list[int]:
+        """Delete vs; return the alive vertices whose degree fell, once each."""
+        adj, alive, deg, leaves = self.adj, self.alive, self.deg, self.leaves
+        for v in vs:
+            if not alive[v]:
+                raise RuntimeError(f"vertex {v} deleted twice")
+            alive[v] = False
+        self.remaining -= len(vs)
+        fell: dict[int, None] = {}
+        for v in vs:
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    fell[w] = None
+                    if deg[w] < 2:
+                        heappush(leaves, w)
+        return list(fell)
+
+    def push(self, v: int, slots: list[_Slot]) -> None:
+        """Give v a current entry in the heaps of these rules."""
+        for rule, heap, last in slots:
+            if not last:  # an unfilled keyed heap
+                continue
+            k = rule.key(self, v) if rule.key else 0
+            if last[v] != k:
+                last[v] = k
+                heappush(heap, (k, v))
+
+    def wake(self, fell: list[int]) -> None:
+        """Push what may match after a deletion lowered the degrees of fell."""
+        adj, alive, deg = self.adj, self.alive, self.deg
+        for u in fell:
+            self.push(u, self.own[deg[u]])
+            near = self.near.get(deg[u])
+            if near is None:
+                continue
+            for v in adj[u]:
+                if alive[v] and (slots := near[deg[v]]):
+                    self.push(v, slots)
+                    for slot in slots:
+                        if slot[0].far:
+                            for w in adj[v]:
+                                if alive[w] and deg[w] in slot[0].degrees:
+                                    self.push(w, [slot])
+
+    def first(self) -> ReductionRecord | None:
+        """Record of the first rule that matches, at its lowest center."""
+        alive, deg = self.alive, self.deg
+        for rule, heap, last in self.slots:
+            if not last:  # a keyed rule reached for the first time: fill in place
+                last += [None] * len(alive)
+                for v, d in enumerate(deg):
+                    if alive[v] and d in rule.degrees:
+                        last[v] = k = rule.key(self, v)
+                        heap.append((k, v))
+                heapify(heap)
+            while heap:
+                k, v = heappop(heap)
+                if last[v] != k:
+                    continue
+                last[v] = None
+                if not alive[v] or deg[v] not in rule.degrees:
+                    continue
+                rec = rule.match(self, v)
+                if rec is not None:
+                    return rec
+        return None
+
+
+def _two_neighbors(st: _Reducer, v: int) -> list[int]:
     alive, deg = st.alive, st.deg
     return [w for w in st.adj[v] if deg[w] == 2 and alive[w]]
 
 
-def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRecord:
+def _star_record(kind: str, st: _Reducer, v: int, twos: list[int]) -> ReductionRecord:
     adj, alive = st.adj, st.alive
     frontier = {v: tuple([w for w in adj[v] if alive[w] and w not in twos])}
     for w in twos:
@@ -144,36 +263,31 @@ def _star_record(kind: str, st: _Peeler, v: int, twos: list[int]) -> ReductionRe
 
 
 def _star(kind: str, degrees: Container[int], twos: int = 0,
-          take: int | None = None, weak: int = 0) -> _Rule:
-    """Rule whose centers have at least twos 2-neighbors and at least weak
-    neighbors of degree at most 3; it deletes the center with its first
-    take 2-neighbors (all of them when take is None).  Its wake follows
-    from the counts it reads.  A row that neither counts nor takes
-    2-neighbors never scans for them: leaf and three-vertex match often."""
+          take: int | None = None, weak: int = 0, protect: bool = False) -> _Rule:
+    """Rule whose centers have at least weak neighbors of degree at most 3
+    and at least twos 2-neighbors; it deletes the center with its first
+    take 2-neighbors (all of them when take is None), and with protect
+    protects its survivors of degree 4+, or its one survivor.  Its wake
+    follows from its counts.  A row that neither counts nor takes
+    2-neighbors never scans for them: three-vertex matches often."""
 
-    def match(st: _Peeler, v: int) -> ReductionRecord | None:
+    def match(st: _Reducer, v: int) -> ReductionRecord | None:
+        if weak and sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < weak:
+            return None
         ws = _two_neighbors(st, v) if twos or take != 0 else []
         if len(ws) < twos:
             return None
-        if weak and sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < weak:
-            return None
-        return _star_record(kind, st, v, ws[:take])
+        rec = _star_record(kind, st, v, ws[:take])
+        if protect:
+            surv = rec.frontier[v]
+            guard = surv if len(surv) == 1 else tuple(u for u in surv if st.deg[u] >= 4)
+            return rec._replace(protect=guard)
+        return rec
 
     return _Rule(degrees, match, wake=(2, 3) if weak else (2,) if twos else ())
 
 
-def _three_weak_pair(st: _Peeler, v: int) -> ReductionRecord | None:
-    if sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < 2:
-        return None
-    rec = _star_record("3v-weak-pair", st, v, _two_neighbors(st, v))
-    surv = rec.frontier[v]
-    protect = {u for u in surv if st.deg[u] >= 4}
-    if len(surv) == 1:
-        protect.add(surv[0])
-    return rec._replace(protect=tuple(sorted(protect)))
-
-
-def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
+def _adjacent_four(st: _Reducer, v: int) -> ReductionRecord | None:
     twos_v = _two_neighbors(st, v)
     if len(twos_v) != 3:
         return None
@@ -190,157 +304,60 @@ def _adjacent_four(st: _Peeler, v: int) -> ReductionRecord | None:
     return ReductionRecord("adjacent-4v", deleted, frontier)
 
 
-# Rule tables, in priority order.  _star rows derive their wakes; the rest
-# are written by hand.  3v-weak-pair counts weak neighbours, so a neighbour
-# falling to 2 or 3 can make it match.  adjacent-4v also wakes on its partner
-# falling to 4, and far carries a wake one step on: a new 2-neighbour of the
-# partner wakes the center too.  A drop to 1 needs no wake: the leaf rule
-# deletes that neighbour before any other rule runs, and the deletion wakes
-# the center itself.
-_LEAF = _star("leaf", (0, 1), take=0)
+# Rule tables, in priority order; _reduce_all deletes every leaf before it
+# consults them.  _star rows derive their wakes; adjacent-4v's is written by
+# hand: it also wakes on its partner falling to 4, and far carries a wake one
+# step on, so a new 2-neighbour of the partner wakes the center too.  A drop
+# to 1 needs no wake: the loop deletes that leaf before any rule runs, and
+# the deletion wakes the center itself.
 _ADJACENT_TWO = _star("adjacent-2", (2,), twos=1, take=1)
 _SIX = (
-    _LEAF,
     _ADJACENT_TWO,
     _star("3v-with-2nbr", (3,), twos=1, take=1),
     _star("4v-three-2nbrs", (4,), twos=3, take=3),
     _star("5v-five-2nbrs", (5,), twos=5),
 )
 _FIVE = (
-    _LEAF,
     _ADJACENT_TWO,
-    _Rule((3,), _three_weak_pair, wake=(2, 3)),
+    _star("3v-weak-pair", (3,), weak=2, protect=True),
     _star("4v-weak", (4,), twos=4),
     _star("4v-weak", (4,), twos=1, weak=4),
     _Rule((4,), _adjacent_four, wake=(2, 4), far=True),
 )
 _EPS_RULES = (
-    _LEAF,
     _star("three-vertex", (3,), take=0),
     _ADJACENT_TWO,
 )
 
 
-class _Candidates:
-    """Lazily checked min-heaps of candidate centers, one per rule.
-
-    Invariant: every alive vertex that matches a rule has an entry (key, v)
-    in the rule's heap with its current key (0 for a rule without one).
-    Degrees only fall, so after a deletion a vertex can start matching, or
-    change its key, only if its own degree fell or, within the rule's
-    reach, a neighbour's did: wake pushes exactly those.  A rule's last[v]
-    is the key of v's newest entry, None once that entry is popped, so v is
-    queued once per key and its older entries are skipped.  The entry at
-    the top is checked again (alive, of the rule's degree, matching) and
-    dropped when it fails, so the first that passes is the first rule's
-    lowest center, or its center of least key.  A keyed rule's heap (the eps
-    star's) is filled when first() first reaches it, and wake skips it until
-    then; from that moment the invariant holds, so its choice is the same.
-    Row 0 is every engine's _LEAF, whose heap _reduce_all drains itself.
-    """
-
-    def __init__(self, st: _Peeler, rules: tuple[_Rule, ...]):
-        self.st = st
-        # one (rule, heap, last) slot per rule, in priority order; a keyed
-        # rule's last stays empty until its heap is filled
-        self.slots = [(rule, [], [] if rule.key else [None] * len(st.deg)) for rule in rules]
-        top = max(st.deg, default=0) + 1
-        # own[d]: the slots whose centers may have degree d; near[du][dv]:
-        # those a neighbour of degree dv is pushed to when u falls to du
-        self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(top)]
-        self.near = {
-            du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
-            for du in {du for rule in rules for du in rule.wake}
-        }
-        for v, d in enumerate(st.deg):  # in index order, so each list is a heap
-            for _, heap, last in self.own[d]:
-                if last:
-                    last[v] = 0
-                    heap.append((0, v))
-
-    def push(self, v: int, slots: list[_Slot]) -> None:
-        """Give v a current entry in the heaps of these rules."""
-        st = self.st
-        for rule, heap, last in slots:
-            if not last:  # an unfilled keyed heap
-                continue
-            k = rule.key(st, v) if rule.key else 0
-            if last[v] != k:
-                last[v] = k
-                heappush(heap, (k, v))
-
-    def wake(self, fell: list[int]) -> None:
-        """Push what may match after a deletion lowered the degrees of fell."""
-        st = self.st
-        adj, alive, deg = st.adj, st.alive, st.deg
-        for u in fell:
-            self.push(u, self.own[deg[u]])
-            near = self.near.get(deg[u])
-            if near is None:
-                continue
-            for v in adj[u]:
-                if alive[v] and (slots := near[deg[v]]):
-                    self.push(v, slots)
-                    for slot in slots:
-                        if slot[0].far:
-                            for w in adj[v]:
-                                if alive[w] and deg[w] in slot[0].degrees:
-                                    self.push(w, [slot])
-
-    def first(self) -> ReductionRecord | None:
-        """Record of the first rule after row 0 that matches, at its lowest center."""
-        st = self.st
-        alive, deg = st.alive, st.deg
-        for rule, heap, last in self.slots[1:]:
-            if not last:  # a keyed rule reached for the first time: fill in place
-                last += [None] * len(alive)
-                for v, d in enumerate(deg):
-                    if alive[v] and d in rule.degrees:
-                        last[v] = k = rule.key(st, v)
-                        heap.append((k, v))
-                heapify(heap)
-            while heap:
-                k, v = heappop(heap)
-                if last[v] != k:
-                    continue
-                last[v] = None
-                if not alive[v] or deg[v] not in rule.degrees:
-                    continue
-                rec = rule.match(st, v)
-                if rec is not None:
-                    return rec
-        return None
-
-
 def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
-    """An engine's deletion sequence; it serves row 0, the leaf, itself."""
-    st = _Peeler(g)
-    candidates = _Candidates(st, rules)
-    adj, alive, deg = st.adj, st.alive, st.deg
-    _, leaves, last = candidates.slots[0]
+    """An engine's deletion sequence; it deletes the leaves itself."""
+    st = _Reducer(g, rules)
+    adj, alive, deg, leaves = st.adj, st.alive, st.deg, st.leaves
     records = []
     while True:
         while leaves:
-            v = heappop(leaves)[1]
-            if last[v] is None:  # an older entry; v was popped before
+            v = heappop(leaves)
+            if not alive[v]:  # queued again at a lower degree
                 continue
-            last[v] = None  # v is alive: only a leaf is ever deleted while this heap holds it
             near = [w for w in adj[v] if alive[w]]  # at most one
             records.append(ReductionRecord("leaf", (v,), {v: tuple(near)}))
             alive[v] = False
             st.remaining -= 1
             for w in near:
                 deg[w] -= 1
-            candidates.wake(near)
+                if deg[w] < 2:
+                    heappush(leaves, w)
+            st.wake(near)
         if not st.remaining:
             return records
-        rec = candidates.first()
+        rec = st.first()
         if rec is None:
             raise ReductionExhaustedError(
                 "no reducible configuration in a non-empty graph"
             )
         records.append(rec)
-        candidates.wake(st.delete(rec.deleted))
+        st.wake(st.delete(rec.deleted))
 
 
 def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
@@ -355,10 +372,10 @@ def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
     k = math.floor(Fraction(8) / eps) + 2
     p, q = x.numerator, x.denominator
 
-    def charge(st: _Peeler, v: int) -> int:
+    def charge(st: _Reducer, v: int) -> int:
         return q * st.deg[v] - p * len(_two_neighbors(st, v))
 
-    def star(st: _Peeler, v: int) -> ReductionRecord:
+    def star(st: _Reducer, v: int) -> ReductionRecord:
         twos = _two_neighbors(st, v)
         if q * st.deg[v] - p * len(twos) > 2 * q + 2 * p:
             value = st.deg[v] - x * len(twos)

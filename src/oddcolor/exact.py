@@ -218,11 +218,12 @@ def _decide(g: Graph, k: int, orders: list[list[int]], clock: _BudgetClock) -> C
     whole coloring is the first one in the interleaved order too.  It is
     checked with is_odd_coloring before it is returned.
     """
-    state = ([[0] * (k + 1) for _ in range(g.n)], [(1 << (k + 1)) - 2] * g.n,
+    size = max(1, min(k, g.n))  # depth i tries at most i + 1 colors: none above n
+    state = ([[0] * (size + 1) for _ in range(g.n)], [(1 << (size + 1)) - 2] * g.n,
              [0] * g.n, list(g.degrees()), [0] * g.n)
     colors = [0] * g.n
     for order in orders:
-        status = _odd_search(g, k, order, state, colors, clock)
+        status = _odd_search(g, size, order, state, colors, clock)
         if status != "yes":
             return ColorableOutcome(status, nodes=clock.nodes)
     if not is_odd_coloring(g, colors)[0]:

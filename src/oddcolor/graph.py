@@ -125,37 +125,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _Peeler:
-    """Alive-mask view of a graph while vertices are deleted, with the
-    current degree of every vertex; adj is the graph's adjacency."""
-
-    def __init__(self, g: Graph):
-        self.adj = g._adj
-        self.alive = [True] * g.n
-        self.deg = list(g.degrees())
-        self.remaining = g.n
-
-    def nbrs(self, v: int) -> list[int]:
-        alive = self.alive
-        return [w for w in self.adj[v] if alive[w]]
-
-    def delete(self, vs: tuple[int, ...]) -> list[int]:
-        """Delete vs; return the alive vertices whose degree fell, once each."""
-        adj, alive, deg = self.adj, self.alive, self.deg
-        for v in vs:
-            if not alive[v]:
-                raise RuntimeError(f"vertex {v} deleted twice")
-            alive[v] = False
-        self.remaining -= len(vs)
-        fell: dict[int, None] = {}
-        for v in vs:
-            for w in adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    fell[w] = None
-        return list(fell)
-
-
 class _Kernel(NamedTuple):
     """The 2-core of a graph cut into chains and cycles (Batagelj & Zaversnik
     2003).  peeled: the vertices outside the core in peel order, last in

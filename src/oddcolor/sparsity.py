@@ -140,7 +140,7 @@ class _Dinic:
             cap[eid ^ 1] += pushed
         return pushed
 
-    def max_flow(self, s: int, t: int, total: int = 0) -> int:
+    def max_flow(self, s: int, t: int, total: int) -> int:
         """Value of a maximum s-t flow, given the value `total` of the flow
         already in the network.  The last BFS, the one that no longer
         reaches t, stays in self.level: its reached vertices are the source

@@ -6,7 +6,6 @@ import pytest
 from oddcolor import (
     PaletteExhaustedError,
     PartialColoring,
-    choose_color,
     coloring_from_json,
     coloring_to_json,
     gen_complete,
@@ -14,6 +13,7 @@ from oddcolor import (
     gen_star,
     is_odd_coloring,
 )
+from oddcolor.coloring import _first_free
 
 import util
 
@@ -99,8 +99,8 @@ class TestPartialColoring:
             g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
             pc = PartialColoring(g, n)
             for v in range(n):
-                pc.assign(v, choose_color(
-                    {pc.color[w] for w in g.neighbors(v) if pc.color[w]}, n))
+                used = {pc.color[w] for w in g.neighbors(v)}
+                pc.assign(v, min(c for c in range(1, n + 1) if c not in used))
             for v in range(n):
                 if g.degree(v) % 2 == 1:
                     assert pc.odd_color_set(v)
@@ -161,14 +161,16 @@ class TestVerifier:
 
 
 class TestChooseColor:
+    # _first_free reads an avoid set as a bit mask, bit c for color c
     def test_examples(self):
-        assert choose_color({1, 2}, 5) == 3
-        assert choose_color(set(), 1) == 1
-        assert choose_color({2, 4}, 4) == 1
+        assert _first_free(0b110, 5) == 3
+        assert _first_free(0, 1) == 1
+        assert _first_free(0b10100, 4) == 1
+        assert _first_free(0b1, 1) == 1  # bit 0 is no color
 
     def test_exhausted(self):
-        with pytest.raises(PaletteExhaustedError):
-            choose_color({1, 2, 3}, 3)
+        with pytest.raises(PaletteExhaustedError, match=r"all 3 colors forbidden by \[1, 2, 3\]"):
+            _first_free(0b1110, 3)
 
 
 class TestColoringJson:

@@ -193,13 +193,21 @@ class TestFinders:
         assert records == util.reduction_records_by_scan(g, constructive._FIVE)
 
     def test_record_structural_invariants(self):
+        # every vertex is deleted once, by all three engines: a leaf queued
+        # at degree 1 and again at degree 0 is recorded once
         rng = random.Random(89)
         graphs = util.certified_graphs(
             rng, 40, lambda g: mad_below(g, 3), (4, 22), (0.8, 1.4),
-            extra=[gen_kstar(6), gen_cycle_with_leaves(9, (2, 1, 0))],
+            extra=[gen_kstar(6), gen_cycle_with_leaves(9, (2, 1, 0)), gen_kstar(5),
+                   util.ADJACENT_4V_GRAPH],
         )
+        runs = []
         for g in graphs:
-            records = six_reduction_records(g)
+            runs += [(g, six_reduction_records(g)), (g, eps_reduction_records(g, 1))]
+            if mad_below(g, Fraction(20, 7)):
+                runs.append((g, five_reduction_records(g)))
+        assert len(runs) >= 2 * len(graphs) + 10  # the five engine's band holds ten or more
+        for g, records in runs:
             seen: set[int] = set()
             for rec in records:
                 assert not seen.intersection(rec.deleted)
@@ -209,6 +217,14 @@ class TestFinders:
                     assert not set(frontier).intersection(seen)
             assert seen == set(range(g.n))
             assert len(records) <= g.n
+
+    def test_delete_refuses_a_dead_vertex(self):
+        st = constructive._Reducer(gen_path(3), ())
+        assert st.delete((1,)) == [0, 2] and st.remaining == 2
+        with pytest.raises(RuntimeError, match="vertex 1 deleted twice"):
+            st.delete((1,))
+        with pytest.raises(RuntimeError, match="vertex 0 deleted twice"):
+            constructive._Reducer(gen_path(3), ()).delete((0, 0))
 
 
 class TestColorSix:

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,24 @@ class TestOddColorable:
                 if odd_colorable(g, k).status == "yes":
                     assert odd_colorable(g, k + 1).status == "yes"
                     break
+
+    def test_state_sized_by_n_not_k(self):
+        # no search uses a color above n, so k above n changes nothing and
+        # costs no memory: n * (k + 1) ban counters took about 41 MB here
+        g = gen_cycle(5)
+        tracemalloc.start()
+        try:
+            out = odd_colorable(g, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert out == odd_colorable(g, g.n)
+        rng = random.Random(67)
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+            assert odd_colorable(g, n + 3) == odd_colorable(g, n)
 
     def test_budget_exceeded(self):
         out = odd_colorable(gen_kstar(5), 4, SolveBudget(node_limit=3))

@@ -11,10 +11,12 @@ from oddcolor import (
     Graph,
     PaletteExhaustedError,
     ReductionExhaustedError,
+    ReductionRecord,
     Violation,
     subdivide,
 )
-from oddcolor.graph import _Peeler, _contract
+from oddcolor.constructive import _Reducer
+from oddcolor.graph import _contract
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -430,13 +432,15 @@ def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
 def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:
     """An engine's deletion sequence by rescanning the whole graph per record.
 
-    rules is an engine's rule table.  For each rule in order, every alive
-    vertex of the rule's degrees is tried in index order and the first match
-    is the next record.  A keyed rule (the eps star) is tried only at the
-    vertex of least charge deg(v) - (1 - eps/2) * (number of 2-neighbors),
-    lowest index on ties, computed here from scratch.
+    rules is an engine's rule table.  The lowest alive vertex of degree
+    below 2, if any, is the next record, a leaf.  Otherwise, for each rule
+    in order, every alive vertex of the rule's degrees is tried in index
+    order and the first match is the next record.  A keyed rule (the eps
+    star) is tried only at the vertex of least charge
+    deg(v) - (1 - eps/2) * (number of 2-neighbors), lowest index on ties,
+    computed here from scratch.
     """
-    st = _Peeler(g)
+    st = _Reducer(g, ())
     records = []
 
     def scan(rule):
@@ -453,7 +457,11 @@ def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:
         return rule.match(st, min(centers, key=charge))
 
     while st.remaining:
-        rec = next(filter(None, map(scan, rules)), None)
+        leaf = next((v for v in range(g.n) if st.alive[v] and st.deg[v] < 2), None)
+        if leaf is not None:
+            rec = ReductionRecord("leaf", (leaf,), {leaf: tuple(st.nbrs(leaf))})
+        else:
+            rec = next(filter(None, map(scan, rules)), None)
         if rec is None:
             raise ReductionExhaustedError("no reducible configuration in a non-empty graph")
         records.append(rec)
