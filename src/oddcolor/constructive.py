@@ -2,18 +2,21 @@
 
 Every engine follows the same reduce/replay scheme: repeatedly locate a
 small reducible configuration in the current graph, record which vertices
-were deleted and which of their neighbors survive, and delete them; once
-the graph is empty, replay the records in reverse, coloring each deleted
-vertex with the smallest color not in a small avoid set.  Avoid sets
-combine neighbor colors (properness), colors of second neighbors through
-deleted degree-2 vertices (so those see two distinct colors), and the
-current unique odd color of already-colored neighbors (so their odd color
-survives the new assignment).  Unique odd colors are always recomputed
-against the coloring as it stands, including vertices recolored earlier in
-the replay; with two or more odd classes nothing needs protecting, because
-a new neighbor color flips a single parity class.  Avoid sets, like the
-parities they read (``PartialColoring``), are bit masks: bit c stands for
-color c, and the color taken is the lowest clear bit.
+it deletes, and delete them; once the graph is empty, replay the records in
+reverse, coloring each deleted vertex with the smallest color not in a
+small avoid set.  When the replay reaches a record, every later record is
+colored and no earlier one is, so the neighbours that survived its deletion
+are exactly the colored neighbours of its vertices: the replay reads them
+off the coloring, and a record stores none.  Avoid sets combine neighbor
+colors (properness), colors of second neighbors through deleted degree-2
+vertices (so those see two distinct colors), and the current unique odd
+color of already-colored neighbors (so their odd color survives the new
+assignment).  Unique odd colors are always recomputed against the coloring
+as it stands, including vertices recolored earlier in the replay; with two
+or more odd classes nothing needs protecting, because a new neighbor color
+flips a single parity class.  Avoid sets, like the parities they read
+(``PartialColoring``), are bit masks: bit c stands for color c, and the
+color taken is the lowest clear bit.
 
 The reduction loop (``_reduce_all``) first deletes every leaf, a vertex of
 degree 0 or 1, lowest index first, as each appears; only when none is left
@@ -57,7 +60,6 @@ graphs, and a dispatcher that picks the strongest applicable strategy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -81,15 +83,14 @@ class ReductionRecord(NamedTuple):
     """One deleted configuration, replayed in reverse during extension.
 
     deleted lists the removed vertices in coloring order (the center
-    first); frontier maps each deleted vertex to its neighbors that
-    survive in the reduced graph.  protect lists surviving vertices whose
-    current unique odd color the center must additionally avoid (only the
-    weak-3-vertex configuration needs it).
+    first).  Their neighbours that survive the deletion are not stored: in
+    the replay they are the colored ones.  protect lists surviving vertices
+    whose current unique odd color the center must additionally avoid (only
+    the weak-3-vertex configuration needs it).
     """
 
     kind: str
     deleted: tuple[int, ...]
-    frontier: dict[int, tuple[int, ...]]
     protect: tuple[int, ...] = ()
 
 
@@ -250,14 +251,6 @@ def _two_neighbors(st: _Reducer, v: int) -> list[int]:
     return [w for w in st.adj[v] if deg[w] == 2 and alive[w]]
 
 
-def _star_record(kind: str, st: _Reducer, v: int, twos: list[int]) -> ReductionRecord:
-    adj, alive = st.adj, st.alive
-    frontier = {v: tuple([w for w in adj[v] if alive[w] and w not in twos])}
-    for w in twos:
-        frontier[w] = tuple([x for x in adj[w] if alive[x] and x != v])
-    return ReductionRecord(kind, (v, *twos), frontier)
-
-
 # ---------------------------------------------------------------------------
 # Configurations: each matches at a center v of the degree its rule names
 
@@ -277,12 +270,12 @@ def _star(kind: str, degrees: Container[int], twos: int = 0,
         ws = _two_neighbors(st, v) if twos or take != 0 else []
         if len(ws) < twos:
             return None
-        rec = _star_record(kind, st, v, ws[:take])
-        if protect:
-            surv = rec.frontier[v]
-            guard = surv if len(surv) == 1 else tuple(u for u in surv if st.deg[u] >= 4)
-            return rec._replace(protect=guard)
-        return rec
+        deleted = (v, *ws[:take])
+        if not protect:
+            return ReductionRecord(kind, deleted)
+        surv = [u for u in st.nbrs(v) if u not in deleted]
+        guard = tuple(u for u in surv if len(surv) == 1 or st.deg[u] >= 4)
+        return ReductionRecord(kind, deleted, guard)
 
     return _Rule(degrees, match, wake=(2, 3) if weak else (2,) if twos else ())
 
@@ -297,11 +290,7 @@ def _adjacent_four(st: _Reducer, v: int) -> ReductionRecord | None:
     twos_w = _two_neighbors(st, w)
     if len(twos_w) != 3:
         return None
-    deleted = (v, w, *sorted(set(twos_v) | set(twos_w)))
-    frontier: dict[int, tuple[int, ...]] = {v: (), w: ()}
-    for u in deleted[2:]:
-        frontier[u] = tuple(x for x in st.nbrs(u) if x != v and x != w)
-    return ReductionRecord("adjacent-4v", deleted, frontier)
+    return ReductionRecord("adjacent-4v", (v, w, *sorted(set(twos_v) | set(twos_w))))
 
 
 # Rule tables, in priority order; _reduce_all deletes every leaf before it
@@ -333,22 +322,14 @@ _EPS_RULES = (
 def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
     """An engine's deletion sequence; it deletes the leaves itself."""
     st = _Reducer(g, rules)
-    adj, alive, deg, leaves = st.adj, st.alive, st.deg, st.leaves
+    alive, leaves = st.alive, st.leaves
     records = []
     while True:
         while leaves:
             v = heappop(leaves)
-            if not alive[v]:  # queued again at a lower degree
-                continue
-            near = [w for w in adj[v] if alive[w]]  # at most one
-            records.append(ReductionRecord("leaf", (v,), {v: tuple(near)}))
-            alive[v] = False
-            st.remaining -= 1
-            for w in near:
-                deg[w] -= 1
-                if deg[w] < 2:
-                    heappush(leaves, w)
-            st.wake(near)
+            if alive[v]:  # else queued again at a lower degree
+                records.append(ReductionRecord("leaf", (v,)))
+                st.wake(st.delete((v,)))
         if not st.remaining:
             return records
         rec = st.first()
@@ -382,13 +363,12 @@ def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
             raise ReductionExhaustedError(
                 f"selected vertex {v} has charge {value} > {2 + 2 * x}"
             )
-        if st.deg[v] > k - 4:
-            raise ReductionExhaustedError(
-                f"selected vertex {v} has degree {st.deg[v]} > {k - 4}"
-            )
-        return _star_record("star", st, v, twos)
+        return ReductionRecord("star", (v, *twos))
 
-    star_rule = _Rule(range(4, sys.maxsize), star, wake=(2,), key=charge)
+    # with at most deg 2-neighbours, a charge within the bound gives
+    # deg * eps/2 <= 4 - eps, so deg <= 8/eps - 2 and, as an integer,
+    # deg <= k - 4: no center of higher degree can pass the check
+    star_rule = _Rule(range(4, k - 3), star, wake=(2,), key=charge)
     return _EPS_RULES + (star_rule,), k
 
 
@@ -433,33 +413,42 @@ _STAR_REPLAY = {
 
 def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
     # avoid sets are bit masks, bit c for color c; a vertex's unique odd color
-    # is its parity mask o when o & (o - 1) == 0 (one bit, or none: o = 0)
-    k = pc.k
-    col = pc.color
+    # is its parity mask o when o & (o - 1) == 0 (one bit, or none: o = 0).
+    # rec's survivors are the colored neighbours of its vertices, and an
+    # uncolored one adds only bit 0, which _first_free ignores.
+    k, col, adj = pc.k, pc.color, g._adj
     odd = pc._odd  # read only
     if rec.kind == "adjacent-4v":
-        v, w = rec.deleted[0], rec.deleted[1]
-        twos = rec.deleted[2:]
-        avoid = {1 << col[x] for u in twos if g.has_edge(u, v) for x in rec.frontier[u]}
-        pc.assign(v, _first_free(sum(avoid), k))  # a sum of distinct bits is their union
-        avoid = {1 << col[x] for u in twos if g.has_edge(u, w) for x in rec.frontier[u]}
-        pc.assign(w, _first_free(sum(avoid | {1 << col[v]}), k))
+        v, w, *twos = rec.deleted
+        avoid = 0
+        for center in (v, w):  # each avoids its 2-neighbours' far ends; w avoids v
+            for u in twos:
+                if center in adj[u]:
+                    for x in adj[u]:
+                        avoid |= 1 << col[x]
+            pc.assign(center, _first_free(avoid, k))
+            avoid = 1 << col[center]
         for u in twos:
-            anchors = list(rec.frontier[u]) + [q for q in (v, w) if g.has_edge(u, q)]
             avoid = 0
-            for p in anchors:
-                avoid |= 1 << col[p]
-                if (o := odd[p]) & (o - 1) == 0:
-                    avoid |= o
+            for p in adj[u]:
+                if col[p]:  # its two anchors: a survivor, v or w
+                    avoid |= 1 << col[p]
+                    if (o := odd[p]) & (o - 1) == 0:
+                        avoid |= o
             pc.assign(u, _first_free(avoid, k))
         return
     protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
-    surv = rec.frontier[v]
+    colored = col.__getitem__
+    surv = [*filter(colored, adj[v])]  # read before any vertex of rec is colored
     avoid = 0
-    for near in rec.frontier.values():  # every frontier color
-        for x in near:
-            avoid |= 1 << col[x]
+    for x in surv:
+        avoid |= 1 << col[x]
+    anchors = []
+    for w in ws:
+        (x,) = filter(colored, adj[w])  # a 2-neighbour's one survivor
+        anchors.append(x)
+        avoid |= 1 << col[x]
     for u in surv if protect_surv else rec.protect:
         if (o := odd[u]) & (o - 1) == 0:
             avoid |= o
@@ -467,8 +456,7 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
     shared = 1 << col[v]  # what every 2-neighbor avoids, bar its own anchor
     if dodge_lone and len(surv) == 1:
         shared |= 1 << col[surv[0]]
-    for w in ws:
-        (x,) = rec.frontier[w]
+    for w, x in zip(ws, anchors):
         avoid = shared | 1 << col[x]
         if (o := odd[x]) & (o - 1) == 0:
             avoid |= o
@@ -514,8 +502,8 @@ def color_forest(g: Graph) -> ColoringResult:
     if not g.is_forest():
         raise ValueError("graph contains a cycle")
     pc = PartialColoring(g, 3)
-    for v, left in reversed(_contract(g).peeled):
-        _replay(pc, ReductionRecord("leaf", (v,), {v: (left,) if left >= 0 else ()}), g)
+    for v, _ in reversed(_contract(g).peeled):
+        _replay(pc, ReductionRecord("leaf", (v,)), g)
     return _finish(g, tuple(pc.color), 3, "forest")
 
 
@@ -621,9 +609,9 @@ def kstar_coloring(n: int) -> ColoringResult:
     """Canonical odd coloring of the subdivided complete graph on n hubs.
 
     Hubs get colors 1..n; then each subdivision vertex, in index order, is
-    replayed as a three-vertex record with its two hubs as frontier.  Uses
-    exactly n colors for n >= 3 (3 for n = 2, where the middle vertex of
-    the path needs a third color).
+    replayed as a three-vertex record, whose colored neighbors are its two
+    hubs.  Uses exactly n colors for n >= 3 (3 for n = 2, where the middle
+    vertex of the path needs a third color).
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -633,5 +621,5 @@ def kstar_coloring(n: int) -> ColoringResult:
     for h in range(n):
         pc.assign(h, h + 1)
     for s in range(n, g.n):
-        _replay(pc, ReductionRecord("three-vertex", (s,), {s: g.neighbors(s)}), g)
+        _replay(pc, ReductionRecord("three-vertex", (s,)), g)
     return _finish(g, tuple(pc.color), k, "kstar")

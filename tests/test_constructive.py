@@ -207,16 +207,24 @@ class TestFinders:
             if mad_below(g, Fraction(20, 7)):
                 runs.append((g, five_reduction_records(g)))
         assert len(runs) >= 2 * len(graphs) + 10  # the five engine's band holds ten or more
+        # every star 2-neighbour has exactly one survivor, its anchor in the
+        # replay, and a protected vertex survives next to the center
         for g, records in runs:
             seen: set[int] = set()
-            for rec in records:
+            for rec, front in zip(records, util.frontiers(g, records)):
                 assert not seen.intersection(rec.deleted)
                 seen.update(rec.deleted)
-                for v, frontier in rec.frontier.items():
-                    assert v in rec.deleted
-                    assert not set(frontier).intersection(seen)
+                if rec.kind != "adjacent-4v":
+                    assert all(len(front[w]) == 1 for w in rec.deleted[1:])
+                    assert set(rec.protect) <= set(front[rec.deleted[0]])
             assert seen == set(range(g.n))
             assert len(records) <= g.n
+
+    def test_records_are_hashable(self):
+        # a record is a tuple of ints and strings, so a sequence is a dict key
+        g = util.ADJACENT_4V_GRAPH
+        records = tuple(five_reduction_records(g))
+        assert hash(records) == hash(tuple(five_reduction_records(g)))
 
     def test_delete_refuses_a_dead_vertex(self):
         st = constructive._Reducer(gen_path(3), ())
@@ -281,14 +289,14 @@ class TestColorFive:
         assert_valid(gen_cycle(3), result)
 
     def test_adjacent_four_vertices_with_shared_two_vertex(self):
-        # the shared degree-2 vertex 4 has an empty frontier and both its
-        # anchors are recolored within the same record
+        # the shared degree-2 vertex 4 has no survivor and both its anchors
+        # are recolored within the same record
         g = util.ADJACENT_4V_GRAPH
         records = five_reduction_records(g)
         first = records[0]
         assert first.kind == "adjacent-4v"
         assert first.deleted[:2] == (0, 1)
-        assert first.frontier[4] == ()
+        assert util.frontiers(g, records)[0][4] == ()
         assert_valid(g, color_five(g))
 
 
@@ -608,10 +616,12 @@ def golden_runs(name, g):
             runs.append(("eps", eps, eps_reduction_records(g, eps), color_eps(g, eps)))
     entries = []
     for engine, eps, records, result in runs:
+        # the frontiers are derived from the sequence, so the hashes recorded
+        # when records stored them also pin what the replay reads off the coloring
         canonical = [
             {"kind": r.kind, "deleted": list(r.deleted), "protect": list(r.protect),
-             "frontier": {str(v): list(f) for v, f in r.frontier.items()}}
-            for r in records
+             "frontier": {str(v): list(f) for v, f in front.items()}}
+            for r, front in zip(records, util.frontiers(g, records))
         ]
         entries.append({
             "graph": name, "n": g.n, "m": g.m, "engine": engine,

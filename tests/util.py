@@ -371,13 +371,27 @@ ADJACENT_4V_GRAPH = Graph(10, [(0, 1), (0, 4), (1, 4), (0, 5), (0, 6), (1, 7), (
                                (2, 3), (2, 9), (3, 9), (2, 5), (2, 6), (3, 7), (3, 8)])
 
 
+def frontiers(g: Graph, records: list) -> list[dict[int, tuple[int, ...]]]:
+    """Per record, each deleted vertex mapped to its neighbours that survive
+    the deletion, in adjacency order, found by tracking the alive vertices
+    forward through the sequence."""
+    alive = [True] * g.n
+    out = []
+    for rec in records:
+        for v in rec.deleted:
+            alive[v] = False
+        out.append({v: tuple(w for w in g.neighbors(v) if alive[w]) for v in rec.deleted})
+    return out
+
+
 def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
     """Colors from replaying an engine's records in reverse, with avoid sets
     and odd-color sets held as Python sets: an oracle for
-    constructive._replay, which holds both as bit masks.  Each vertex takes
-    the smallest color in 1..k outside its avoid set; a vertex's unique odd
-    color is the one color of odd multiplicity among its colored neighbors,
-    when there is exactly one."""
+    constructive._replay, which holds both as bit masks and reads each
+    record's survivors off the coloring, where this reads them from
+    frontiers().  Each vertex takes the smallest color in 1..k outside its
+    avoid set; a vertex's unique odd color is the one color of odd
+    multiplicity among its colored neighbors, when there is exactly one."""
     col = [0] * g.n
     odd: list[set[int]] = [set() for _ in range(g.n)]
 
@@ -394,13 +408,13 @@ def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
         for w in g.neighbors(v):
             odd[w] ^= {c}
 
-    for rec in reversed(records):
+    for rec, front in reversed(list(zip(records, frontiers(g, records)))):
         if rec.kind == "adjacent-4v":
             v, w, *twos = rec.deleted
-            assign(v, {col[x] for u in twos if g.has_edge(u, v) for x in rec.frontier[u]})
-            assign(w, {col[v]} | {col[x] for u in twos if g.has_edge(u, w) for x in rec.frontier[u]})
+            assign(v, {col[x] for u in twos if g.has_edge(u, v) for x in front[u]})
+            assign(w, {col[v]} | {col[x] for u in twos if g.has_edge(u, w) for x in front[u]})
             for u in twos:
-                anchors = [*rec.frontier[u], *(q for q in (v, w) if g.has_edge(u, q))]
+                anchors = [*front[u], *(q for q in (v, w) if g.has_edge(u, q))]
                 assign(u, {col[p] for p in anchors}.union(*map(unique, anchors)))
             continue
         protect_surv, dodge_center, dodge_lone = {
@@ -415,11 +429,11 @@ def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
             "4v-weak": (False, True, False),
         }[rec.kind]
         v, ws = rec.deleted[0], rec.deleted[1:]
-        surv = rec.frontier[v]
-        avoid = {col[x] for near in rec.frontier.values() for x in near}
+        surv = front[v]
+        avoid = {col[x] for near in front.values() for x in near}
         assign(v, avoid.union(*map(unique, surv if protect_surv else rec.protect)))
         for w in ws:
-            (x,) = rec.frontier[w]
+            (x,) = front[w]
             avoid = {col[v], col[x]} | unique(x)
             if dodge_center:
                 avoid |= unique(v)
@@ -459,7 +473,7 @@ def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:
     while st.remaining:
         leaf = next((v for v in range(g.n) if st.alive[v] and st.deg[v] < 2), None)
         if leaf is not None:
-            rec = ReductionRecord("leaf", (leaf,), {leaf: tuple(st.nbrs(leaf))})
+            rec = ReductionRecord("leaf", (leaf,))
         else:
             rec = next(filter(None, map(scan, rules)), None)
         if rec is None:
