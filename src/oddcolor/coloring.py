@@ -1,11 +1,11 @@
-"""Odd-coloring state and verification.
+"""Odd-coloring verification, the smallest free color, and coloring files.
 
 An odd coloring is a proper vertex coloring in which every non-isolated
-vertex sees some color an odd number of times on its neighborhood.
-PartialColoring tracks, for each vertex, the colors with odd multiplicity
-among its currently colored neighbors as a bit mask (bit c for color c), so
-it is available in O(1) while colorings are built incrementally.  A mask
-holds bits only for colors in use, never one per color of the palette.
+vertex sees some color an odd number of times on its neighborhood.  A
+coloring is a plain list of colors 1..k, with 0 for a vertex not yet
+colored while one is built.  Sets of colors are int bit masks (bit c for
+color c), and _first_free picks the lowest clear bit, so a mask holds bits
+only for colors in use, never one per color of the palette.
 """
 
 from __future__ import annotations
@@ -40,54 +40,9 @@ def _first_free(avoid: int, k: int) -> int:
     avoid |= 1
     c = (avoid ^ (avoid + 1)).bit_length() - 1  # the lowest clear bit
     if c > k:
-        raise PaletteExhaustedError(f"all {k} colors forbidden by {_colors(avoid)}")
+        forbidden = [c for c in range(1, avoid.bit_length()) if avoid >> c & 1]
+        raise PaletteExhaustedError(f"all {k} colors forbidden by {forbidden}")
     return c
-
-
-def _colors(mask: int) -> list[int]:
-    """The colors whose bits are set in mask, least first (bit 0 aside)."""
-    return [c for c in range(1, mask.bit_length()) if mask >> c & 1]
-
-
-class PartialColoring:
-    """Mutable partial proper coloring with per-vertex neighbor-color parity.
-
-    Colors are positive integers 1..k; 0 means uncolored.  Properness is
-    enforced at every assign, whose ValueErrors all come before any change.
-    The odd-color set of a vertex always reflects the colors on its
-    currently colored neighbors, including vertices that were re-colored
-    after deletion/replay, which is exactly the "current coloring" a
-    colorer must consult before each assignment.
-    """
-
-    def __init__(self, graph: Graph, k: int):
-        if k < 1:
-            raise ValueError("need at least one color")
-        self.graph = graph
-        self.k = k
-        self.color = [0] * graph.n
-        self._odd = [0] * graph.n  # bit c: color c is odd on the neighborhood
-
-    def assign(self, v: int, c: int) -> None:
-        if not 1 <= c <= self.k:
-            raise ValueError(f"color {c} out of range 1..{self.k}")
-        color, nbs = self.color, self.graph.neighbors(v)
-        if color[v] != 0:
-            raise ValueError(f"vertex {v} already colored")
-        for w in nbs:
-            if color[w] == c:
-                raise ValueError(f"color {c} on {v} clashes with neighbor {w}")
-        color[v] = c
-        odd, bit = self._odd, 1 << c
-        for w in nbs:
-            odd[w] ^= bit
-
-    def odd_color_set(self, v: int) -> set[int]:
-        """Colors with odd multiplicity among v's currently colored neighbors."""
-        return set(_colors(self._odd[v]))
-
-    def is_complete(self) -> bool:
-        return all(c != 0 for c in self.color)
 
 
 def is_odd_coloring(g: Graph, colors: Iterable[int]) -> tuple[bool, list[Violation]]:

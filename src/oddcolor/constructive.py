@@ -14,9 +14,11 @@ color of already-colored neighbors (so their odd color survives the new
 assignment).  Unique odd colors are always recomputed against the coloring
 as it stands, including vertices recolored earlier in the replay; with two
 or more odd classes nothing needs protecting, because a new neighbor color
-flips a single parity class.  Avoid sets, like the parities they read
-(``PartialColoring``), are bit masks: bit c stands for color c, and the
-color taken is the lowest clear bit.
+flips a single parity class.  The replay keeps its coloring in two plain
+lists: col (0: uncolored) and odd, per vertex the colors of odd
+multiplicity on its colored neighbours.  Those parities and the avoid sets
+are bit masks: bit c stands for color c, and the color taken is the lowest
+clear bit.
 
 The reduction loop (``_reduce_all``) first deletes every leaf, a vertex of
 degree 0 or 1, lowest index first, as each appears; only when none is left
@@ -65,7 +67,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Container, NamedTuple
 
-from .coloring import PartialColoring, _first_free, is_odd_coloring
+from .coloring import _first_free, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
 from .graph import Graph, _contract, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
@@ -411,13 +413,20 @@ _STAR_REPLAY = {
 }
 
 
-def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
+def _paint(col: list[int], odd: list[int], adj: list[list[int]], v: int, c: int) -> None:
+    """Color v with c and flip c's parity on each neighbour of v."""
+    col[v] = c
+    bit = 1 << c
+    for w in adj[v]:
+        odd[w] ^= bit
+
+
+def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
+            adj: list[list[int]]) -> None:
     # avoid sets are bit masks, bit c for color c; a vertex's unique odd color
     # is its parity mask o when o & (o - 1) == 0 (one bit, or none: o = 0).
     # rec's survivors are the colored neighbours of its vertices, and an
     # uncolored one adds only bit 0, which _first_free ignores.
-    k, col, adj = pc.k, pc.color, g._adj
-    odd = pc._odd  # read only
     if rec.kind == "adjacent-4v":
         v, w, *twos = rec.deleted
         avoid = 0
@@ -426,7 +435,7 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
                 if center in adj[u]:
                     for x in adj[u]:
                         avoid |= 1 << col[x]
-            pc.assign(center, _first_free(avoid, k))
+            _paint(col, odd, adj, center, _first_free(avoid, k))
             avoid = 1 << col[center]
         for u in twos:
             avoid = 0
@@ -435,7 +444,7 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
                     avoid |= 1 << col[p]
                     if (o := odd[p]) & (o - 1) == 0:
                         avoid |= o
-            pc.assign(u, _first_free(avoid, k))
+            _paint(col, odd, adj, u, _first_free(avoid, k))
         return
     protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
@@ -452,7 +461,7 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
     for u in surv if protect_surv else rec.protect:
         if (o := odd[u]) & (o - 1) == 0:
             avoid |= o
-    pc.assign(v, _first_free(avoid, k))
+    _paint(col, odd, adj, v, _first_free(avoid, k))
     shared = 1 << col[v]  # what every 2-neighbor avoids, bar its own anchor
     if dodge_lone and len(surv) == 1:
         shared |= 1 << col[surv[0]]
@@ -462,7 +471,7 @@ def _replay(pc: PartialColoring, rec: ReductionRecord, g: Graph) -> None:
             avoid |= o
         if dodge_center and (o := odd[v]) & (o - 1) == 0:
             avoid |= o
-        pc.assign(w, _first_free(avoid, k))
+        _paint(col, odd, adj, w, _first_free(avoid, k))
 
 
 def _reduce_and_replay(
@@ -471,12 +480,12 @@ def _reduce_and_replay(
     """Reduce with rules, replay in reverse with k colors and verify.
 
     The caller has decided the density band in which k colors suffice."""
-    pc = PartialColoring(g, k)
+    col, odd = [0] * g.n, [0] * g.n
     for rec in reversed(_reduce_all(g, rules)):
-        _replay(pc, rec, g)
-    if not pc.is_complete():
+        _replay(col, odd, k, rec, g._adj)
+    if not all(col):
         raise RuntimeError("replay left vertices uncolored")
-    return _finish(g, tuple(pc.color), k, strategy)
+    return _finish(g, tuple(col), k, strategy)
 
 
 def _finish(g: Graph, colors: tuple[int, ...], bound: int, strategy: str) -> ColoringResult:
@@ -501,10 +510,10 @@ def color_forest(g: Graph) -> ColoringResult:
     """
     if not g.is_forest():
         raise ValueError("graph contains a cycle")
-    pc = PartialColoring(g, 3)
+    col, odd = [0] * g.n, [0] * g.n
     for v, _ in reversed(_contract(g).peeled):
-        _replay(pc, ReductionRecord("leaf", (v,)), g)
-    return _finish(g, tuple(pc.color), 3, "forest")
+        _replay(col, odd, 3, ReductionRecord("leaf", (v,)), g._adj)
+    return _finish(g, tuple(col), 3, "forest")
 
 
 def _cycle_pattern(n: int) -> list[int]:
@@ -617,9 +626,9 @@ def kstar_coloring(n: int) -> ColoringResult:
         raise ValueError("needs n >= 2")
     g = gen_kstar(n)
     k = n if n >= 3 else 3
-    pc = PartialColoring(g, k)
+    col, odd = [0] * g.n, [0] * g.n
     for h in range(n):
-        pc.assign(h, h + 1)
+        _paint(col, odd, g._adj, h, h + 1)
     for s in range(n, g.n):
-        _replay(pc, ReductionRecord("three-vertex", (s,)), g)
-    return _finish(g, tuple(pc.color), k, "kstar")
+        _replay(col, odd, k, ReductionRecord("three-vertex", (s,)), g._adj)
+    return _finish(g, tuple(col), k, "kstar")

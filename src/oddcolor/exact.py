@@ -218,9 +218,15 @@ def _decide(g: Graph, k: int, orders: list[list[int]], clock: _BudgetClock) -> C
     whole coloring is the first one in the interleaved order too.  It is
     checked with is_odd_coloring before it is returned.
     """
-    size = max(1, min(k, g.n))  # depth i tries at most i + 1 colors: none above n
+    # Sized for at most min(n, 2Δ + 2) colors (Δ: maximum degree), with the
+    # same search as for k: depth i tries at most i + 1 colors, so none above
+    # n; and at most 2·deg(w) reasons ban a color at w, so with 2Δ + 2 colors
+    # every uncolored vertex keeps two free, the forward check never fails and
+    # each vertex takes its lowest free color, at most 2Δ + 1.
+    deg = g.degrees()
+    size = max(1, min(k, g.n, 2 * max(deg, default=0) + 2))
     state = ([[0] * (size + 1) for _ in range(g.n)], [(1 << (size + 1)) - 2] * g.n,
-             [0] * g.n, list(g.degrees()), [0] * g.n)
+             [0] * g.n, list(deg), [0] * g.n)
     colors = [0] * g.n
     for order in orders:
         status = _odd_search(g, size, order, state, colors, clock)

@@ -233,12 +233,13 @@ class TestColorVerify:
         assert out == ('{"k": 5, "colors": [5, 4, 1, 3, 2, 1, 2, 1, 1, 2, 1, 1, 2, 3, 1], '
                        '"strategy": "eps", "bound": 8000002}\n')
         g = oddcolor.gen_kstar(5)
-        pc = oddcolor.PartialColoring(g, 10**9)
-        for hub in range(3):
-            pc.assign(hub, hub + 1)
+        col, odd = [0] * g.n, [0] * g.n
+        for rec in reversed(constructive._reduce_all(g, constructive._FIVE)):
+            constructive._replay(col, odd, 10**9, rec, g._adj)
+        assert tuple(col) == oddcolor.color_five(g).colors
         for v in range(g.n):
-            cols = [pc.color[w] for w in g.neighbors(v) if pc.color[w]]
-            assert pc.odd_color_set(v) == {c for c in cols if cols.count(c) % 2}
+            cols = [col[w] for w in g.neighbors(v)]
+            assert odd[v] == sum(1 << c for c in set(cols) if cols.count(c) % 2)
 
 
 class TestGen:
@@ -452,6 +453,23 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: internal: {type(exc).__name__}: ")
+
+    def test_replay_fault_is_internal_error(self, monkeypatch, capsys):
+        # a replay that paints a color it was told to avoid, here a colored
+        # neighbour's, is caught by the final check, not taken for a failed
+        # precondition
+        first_free = constructive._first_free
+
+        def lowest_avoided(avoid, k):
+            avoid &= ~1
+            return (avoid & -avoid).bit_length() - 1 if avoid else first_free(avoid, k)
+
+        monkeypatch.setattr(constructive, "_first_free", lowest_avoided)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(oddcolor.gen_kstar(5))))
+        assert cli.main(["color"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: internal: RuntimeError: invalid coloring produced ")
 
     def test_invalid_exact_witness_is_one_line(self, monkeypatch, capsys):
         # a search that assembles an improper coloring is caught before output

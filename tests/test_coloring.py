@@ -5,7 +5,6 @@ import pytest
 
 from oddcolor import (
     PaletteExhaustedError,
-    PartialColoring,
     coloring_from_json,
     coloring_to_json,
     gen_complete,
@@ -14,82 +13,65 @@ from oddcolor import (
     is_odd_coloring,
 )
 from oddcolor.coloring import _first_free
+from oddcolor.constructive import _paint
 
 import util
 
 
+def blank(g):
+    """An empty coloring of g as the replay holds it: colors and parity masks."""
+    return [0] * g.n, [0] * g.n
+
+
+def odd_colors(mask):
+    """The colors whose bits are set in a parity mask."""
+    return {c for c in range(1, mask.bit_length()) if mask >> c & 1}
+
+
 class TestPartialColoring:
+    """A partial coloring as the replay holds it, painted through _paint."""
+
     def test_assign_updates_neighbor_parity(self):
-        pc = PartialColoring(gen_cycle(4), 4)
-        pc.assign(0, 1)
-        pc.assign(1, 2)
-        pc.assign(2, 1)
-        assert pc.odd_color_set(1) == set()
-        assert pc.odd_color_set(3) == set()
-        assert pc.odd_color_set(0) == {2}
-        assert pc.odd_color_set(2) == {2}
-
-    def test_properness_enforced(self):
-        pc = PartialColoring(gen_cycle(4), 4)
-        pc.assign(0, 1)
-        with pytest.raises(ValueError, match="clashes"):
-            pc.assign(1, 1)
-
-    def test_color_range_enforced(self):
-        pc = PartialColoring(gen_cycle(4), 4)
-        with pytest.raises(ValueError, match="out of range"):
-            pc.assign(0, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            pc.assign(0, 5)
-
-    def test_double_assign_rejected(self):
-        pc = PartialColoring(gen_cycle(4), 4)
-        pc.assign(0, 1)
-        with pytest.raises(ValueError, match="already"):
-            pc.assign(0, 2)
+        g = gen_cycle(4)
+        col, odd = blank(g)
+        for v, c in ((0, 1), (1, 2), (2, 1)):
+            _paint(col, odd, g._adj, v, c)
+        assert col == [1, 2, 1, 0]
+        assert odd_colors(odd[1]) == set()
+        assert odd_colors(odd[3]) == set()
+        assert odd_colors(odd[0]) == {2}
+        assert odd_colors(odd[2]) == {2}
 
     def test_odd_color_set_examples(self):
         star = gen_star(3)
-        pc = PartialColoring(star, 4)
-        for leaf, c in zip((1, 2, 3), (1, 1, 2)):
-            pc.assign(leaf, c)
-        assert pc.odd_color_set(0) == {2}
-        assert len(pc.odd_color_set(0)) == 1
-
-        pc = PartialColoring(star, 4)
-        for leaf, c in zip((1, 2, 3), (1, 2, 3)):
-            pc.assign(leaf, c)
-        assert pc.odd_color_set(0) == {1, 2, 3}
-        assert len(pc.odd_color_set(0)) != 1
-
-        pc = PartialColoring(star, 4)
-        pc.assign(1, 1)
-        pc.assign(2, 1)
-        assert pc.odd_color_set(0) == set()
-        assert len(pc.odd_color_set(0)) != 1
+        for colors, want in (((1, 1, 2), {2}), ((1, 2, 3), {1, 2, 3}), ((1, 1), set())):
+            col, odd = blank(star)
+            for leaf, c in zip((1, 2, 3), colors):
+                _paint(col, odd, star._adj, leaf, c)
+            assert odd_colors(odd[0]) == want
+            # the mask test the replay uses for "one odd color, or none"
+            assert (odd[0] & (odd[0] - 1) == 0) == (len(want) <= 1)
 
     def test_parity_matches_recount_under_stress(self):
         rng = random.Random(23)
         g = util.random_graph(rng, 14, 30)
-        pc = PartialColoring(g, 6)
+        col, odd = blank(g)
         ops = 0
         while ops < 10_000:
-            moves = [(v, c) for v in range(g.n) if pc.color[v] == 0
-                     for c in range(1, 7) if all(pc.color[w] != c for w in g.neighbors(v))]
+            moves = [(v, c) for v in range(g.n) if col[v] == 0
+                     for c in range(1, 7) if all(col[w] != c for w in g.neighbors(v))]
             if not moves:  # every vertex colored or stuck: start a fresh coloring
-                pc = PartialColoring(g, 6)
+                col, odd = blank(g)
                 continue
-            pc.assign(*rng.choice(moves))
+            _paint(col, odd, g._adj, *rng.choice(moves))
             ops += 1
             if ops % 250 == 0:
                 for u in range(g.n):
                     recount: dict[int, int] = {}
                     for w in g.neighbors(u):
-                        if pc.color[w]:
-                            recount[pc.color[w]] = recount.get(pc.color[w], 0) + 1
-                    assert pc.odd_color_set(u) == {
-                        c for c, k in recount.items() if k % 2 == 1
-                    }
+                        if col[w]:
+                            recount[col[w]] = recount.get(col[w], 0) + 1
+                    assert odd_colors(odd[u]) == {c for c, k in recount.items() if k % 2 == 1}
 
     def test_odd_degree_vertices_always_have_odd_color(self):
         # multiplicities over an odd-size neighborhood sum to an odd number
@@ -97,13 +79,13 @@ class TestPartialColoring:
         for _ in range(40):
             n = rng.randint(2, 9)
             g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
-            pc = PartialColoring(g, n)
+            col, odd = blank(g)
             for v in range(n):
-                used = {pc.color[w] for w in g.neighbors(v)}
-                pc.assign(v, min(c for c in range(1, n + 1) if c not in used))
+                used = {col[w] for w in g.neighbors(v)}
+                _paint(col, odd, g._adj, v, min(c for c in range(1, n + 1) if c not in used))
             for v in range(n):
                 if g.degree(v) % 2 == 1:
-                    assert pc.odd_color_set(v)
+                    assert odd[v]
 
 
 class TestVerifier:

@@ -82,6 +82,23 @@ class TestOddColorable:
             g = util.random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
             assert odd_colorable(g, n + 3) == odd_colorable(g, n)
 
+    def test_state_sized_by_max_degree(self):
+        # at most 2·deg(w) reasons ban a color at w, so with k >= 2Δ + 2 no
+        # color runs out, the search never backs up (one node per vertex) and
+        # no vertex takes a color above 2Δ + 1; sizing the state for n colors
+        # instead of 2Δ + 2 took about 8 MB here
+        g = util.roadmap_corpus(400)
+        top = 2 * max(g.degrees()) + 1
+        tracemalloc.start()
+        try:
+            out = odd_colorable(g, g.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert out.status == "yes" and out.nodes == g.n and max(out.coloring) <= top
+        assert out == odd_colorable(g, top + 1)
+
     def test_budget_exceeded(self):
         out = odd_colorable(gen_kstar(5), 4, SolveBudget(node_limit=3))
         assert out.status == "budget-exceeded"

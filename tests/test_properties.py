@@ -18,7 +18,6 @@ from networkx.algorithms.flow import edmonds_karp
 from oddcolor import (
     Graph,
     PaletteExhaustedError,
-    PartialColoring,
     color_auto,
     color_eps,
     color_five,
@@ -255,10 +254,10 @@ def test_reduction_order_on_kernel_graphs(g):
 
 
 def replay_by_masks(g, records, k):
-    pc = PartialColoring(g, k)
+    col, odd = [0] * g.n, [0] * g.n
     for rec in reversed(records):
-        constructive._replay(pc, rec, g)
-    return pc.color
+        constructive._replay(col, odd, k, rec, g._adj)
+    return col
 
 
 def replay_outcome(replay, g, records, k):
@@ -394,25 +393,3 @@ def test_kernel_matches_networkx(g):
 def test_girth_matches_networkx(g):
     want = nx.girth(to_networkx(g))
     assert girth(g) == (None if want == math.inf else want)
-
-
-@settings(SETTINGS, max_examples=100)
-@given(graphs((2, 12), (0.5, 1, 2, 3)), st.integers(0, 2**32))
-def test_rejected_assign_changes_nothing(g, seed):
-    # a clash, an out-of-range color and a second color for a vertex each
-    # raise before the coloring or any odd-color set changes
-    rng = random.Random(seed)
-    pc = PartialColoring(g, 4)
-    for v in rng.sample(range(g.n), g.n // 2):
-        free = [c for c in range(1, 5) if all(pc.color[w] != c for w in g.neighbors(v))]
-        if free:
-            pc.assign(v, rng.choice(free))
-    before = (list(pc.color), [pc.odd_color_set(v) for v in range(g.n)])
-    bad = [(u, pc.color[w]) for u in range(g.n) if pc.color[u] == 0
-           for w in g.neighbors(u) if pc.color[w] != 0]
-    bad += [(v, pc.color[v] % 4 + 1) for v in range(g.n) if pc.color[v] != 0]
-    bad += [(0, 0), (0, 5)]
-    for v, c in bad:
-        with pytest.raises(ValueError):
-            pc.assign(v, c)
-        assert (pc.color, [pc.odd_color_set(v) for v in range(g.n)]) == before

@@ -17,9 +17,10 @@ seed), the quartiles of each end-to-end metric on each side and the number
 of pairs in which the change was better (the direction comes from the
 parent's BENCHMARK.json).  With --trace, one back-to-back pair runs with
 --trace 1, parent first, and its per-layer report replaces the file's
-"traced" entry.  Each side's entry holds a digest and the line count of
-its src/.  Stdlib only.  It edits nothing under perfbench/; run.py
-itself keeps its work directory and --trace spans there.
+"traced" entry.  Each side's entry holds a digest of its src/, its line
+count and its count of lines neither blank nor comment-only.  Stdlib
+only.  It edits nothing under perfbench/; run.py itself keeps its work
+directory and --trace spans there.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def src_digest(checkout: Path) -> str:
 def src_lines(checkout: Path) -> int:
     """Total line count of the .py files under src/, so a shrink is on record."""
     return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
+def src_code_lines(checkout: Path) -> int:
+    """Lines of the .py files under src/ that are neither blank nor comment-only."""
+    return sum(1 for path in (checkout / "src").rglob("*.py")
+               for line in path.read_bytes().splitlines()
+               if line.strip() and not line.lstrip().startswith(b"#"))
 
 
 def run_side(checkout: Path, pycache: Path, workload: str, seed: int, seconds: float,
@@ -126,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     for side, checkout in sides.items():
-        doc[side] = {"src_sha256": src_digest(checkout), "src_lines": src_lines(checkout)}
+        doc[side] = {"src_sha256": src_digest(checkout), "src_lines": src_lines(checkout),
+                     "src_code_lines": src_code_lines(checkout)}
 
     def save() -> None:
         doc["perfbench"]["summary"] = summarize(doc["perfbench"]["runs"], better)
