@@ -56,7 +56,7 @@ Three engines are provided:
 
 plus direct colorers for forests (3 colors), cycles (3/4/5 by length), the
 two-color classifier, the canonical coloring of subdivided complete
-graphs, and a dispatcher that picks the strongest applicable strategy.
+graphs, and a dispatcher that tries the 5-, then the 6-color reduction.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class UnsupportedDensityError(ValueError):
 
 
 class ReductionExhaustedError(RuntimeError):
-    """No reducible configuration found; contradicts the density hypothesis."""
+    """No reducible configuration found: expected outside the engine's density
+    band, a fault within it."""
 
 
 class ReductionRecord(NamedTuple):
@@ -479,9 +480,14 @@ def _reduce_and_replay(
 ) -> ColoringResult:
     """Reduce with rules, replay in reverse with k colors and verify.
 
-    The caller has decided the density band in which k colors suffice."""
+    Each configuration is reducible by a local argument, so a completed
+    reduction replays with k colors whatever the density."""
+    return _replay_all(g, _reduce_all(g, rules), k, strategy)
+
+
+def _replay_all(g: Graph, records: list[ReductionRecord], k: int, strategy: str) -> ColoringResult:
     col, odd = [0] * g.n, [0] * g.n
-    for rec in reversed(_reduce_all(g, rules)):
+    for rec in reversed(records):
         _replay(col, odd, k, rec, g._adj)
     if not all(col):
         raise RuntimeError("replay left vertices uncolored")
@@ -585,9 +591,10 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
     """Color with the strongest applicable strategy (fewest guaranteed colors).
 
     Dispatch: edgeless -> 1 color; bipartite with all degrees 0/odd -> 2;
-    forest -> 3; a single cycle -> its exact value; then by maximum average
-    degree: below 20/7 -> 5, below 3 -> 6 (each decided by one threshold
-    flow, or none when 2m/n already reaches the threshold); otherwise the
+    forest -> 3; a single cycle -> its exact value; then the 5-color
+    reduction, and the 6-color one if it runs out of configurations: one
+    that completes proves its bound, so no flow runs.  It completes whenever
+    mad < 20/7 (resp. 3), and often above.  Only when both run out: the
     exact mad, and below 4 the eps engine at eps = 4 - mad.  Denser graphs
     fall back to the exact solver when a budget is supplied and raise
     UnsupportedDensityError otherwise.
@@ -599,10 +606,12 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return color_forest(g)
     if g.is_cycle():
         return color_cycle_graph(g)
-    if mad_below(g, Fraction(20, 7)):
-        return _reduce_and_replay(g, _FIVE, 5, "five")
-    if mad_below(g, 3):
-        return _reduce_and_replay(g, _SIX, 6, "six")
+    for rules, k, strategy in ((_FIVE, 5, "five"), (_SIX, 6, "six")):
+        try:
+            records = _reduce_all(g, rules)
+        except ReductionExhaustedError:  # a configuration is missing: try the next
+            continue
+        return _replay_all(g, records, k, strategy)
     mad = mad_exact(g).mad
     if mad < 4:
         return _reduce_and_replay(g, *_eps_engine(4 - mad), "eps")

@@ -4,12 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oddcolor
 from oddcolor import Graph, cli, constructive, serialize_graph, subdivide
+
+import util
 
 CMD = [sys.executable, "-m", "oddcolor"]
 # the CLI runs the same package the tests imported, installed or not
@@ -161,6 +164,27 @@ class TestColorVerify:
         proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
         assert proc.returncode == 0, proc.stdout
         assert proc.stdout == "VALID\n"
+
+    @pytest.mark.parametrize("gen_args, strategy, bound", [
+        (None, "five", 5),  # a six-band graph on which the five reduction completes
+        (["gen", "kstar", "6"], "six", 6),  # five runs out, six completes
+        (["gen", "kstar", "7"], "eps", 10),  # both run out: eps at 4 - mad = 1
+    ])
+    def test_auto_takes_the_first_reduction_that_completes(self, tmp_path, gen_args,
+                                                           strategy, bound):
+        if gen_args is None:
+            g = subdivide(util.random_graph(random.Random(2), 40, 104))
+            assert oddcolor.mad_exact(g).mad == Fraction(178, 61)  # in [20/7, 3)
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(chain(gen_args) if gen_args else serialize_graph(g))
+        coloring = chain(["color", "--strategy", "auto", "-i", str(graph_file)])
+        payload = json.loads(coloring)
+        assert (payload["strategy"], payload["bound"]) == (strategy, bound)
+        assert payload["k"] <= bound
+        coloring_file = tmp_path / "c.json"
+        coloring_file.write_text(coloring)
+        proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
+        assert proc.returncode == 0 and proc.stdout == "VALID\n"
 
     @pytest.mark.parametrize("coloring", [
         '{"k": true, "colors": [1, 2, 1]}',
@@ -470,6 +494,21 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: internal: RuntimeError: invalid coloring produced ")
+
+    def test_palette_fault_after_a_completed_reduction_is_internal_error(
+            self, monkeypatch, capsys):
+        # only a reduction that runs out of configurations moves auto on to
+        # the next engine; a replay that runs out of colors is a fault, and
+        # the five engine's (5 colors) is the one reported
+        def no_color(avoid, k):
+            raise oddcolor.PaletteExhaustedError(f"all {k} colors forbidden")
+
+        monkeypatch.setattr(constructive, "_first_free", no_color)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(oddcolor.gen_kstar(5))))
+        assert cli.main(["color", "--strategy", "auto"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: internal: PaletteExhaustedError: all 5 colors forbidden\n")
 
     def test_invalid_exact_witness_is_one_line(self, monkeypatch, capsys):
         # a search that assembles an improper coloring is caught before output

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -43,6 +44,25 @@ def assert_valid(g, result):
     ok, violations = is_odd_coloring(g, result.colors)
     assert ok, violations[:3]
     assert result.k_used <= result.bound
+
+
+ENGINES = (("five", constructive._FIVE), ("six", constructive._SIX))
+
+
+def reduces(g, rules):
+    """Whether the engine's reduction reaches the empty graph."""
+    try:
+        constructive._reduce_all(g, rules)
+    except constructive.ReductionExhaustedError:
+        return False
+    return True
+
+
+def band_bound(band, mad):
+    """The color bound the paper gives to a graph of this mad in this band."""
+    if band == "eps":
+        return math.floor(8 / (4 - mad)) + 2
+    return {"five": 5, "six": 6}.get(band, math.inf)
 
 
 class TestColorForest:
@@ -444,9 +464,9 @@ class TestColorAuto:
         return calls
 
     @pytest.mark.parametrize("n, strategy, engine", [
-        (5, "five", color_five),  # 2m/n = 8/3 < 20/7: one flow decides it
-        (6, "six", color_six),  # 2m/n = 20/7: only the flow at 3 runs
-        (7, "eps", lambda g: color_eps(g, 1)),  # 2m/n = 3: only mad_exact's
+        (5, "five", color_five),  # the five reduction completes: no flow
+        (6, "six", color_six),  # five runs out, six completes: no flow
+        (7, "eps", lambda g: color_eps(g, 1)),  # both run out: only mad_exact's
     ])
     def test_density_decided_once(self, monkeypatch, n, strategy, engine):
         g = gen_kstar(n)
@@ -455,31 +475,36 @@ class TestColorAuto:
         alone = len(calls)
         calls.clear()
         result = color_auto(g)
-        assert alone > 0 and len(calls) == (alone if strategy == "eps" else 1)
+        assert alone > 0 and len(calls) == (alone if strategy == "eps" else 0)
         assert result.strategy == strategy and result == engine(g)
 
     def test_kernel_built_once_per_graph(self, monkeypatch):
-        # kstar(8) with a 60-vertex pendant path: 2m/n = 29/12 but mad 28/9,
-        # so both threshold flows run before mad_exact's, all from d = 1 on
+        # kstar(8) with a 60-vertex pendant path: 2m/n = 29/12 but mad 28/9;
+        # both reductions run out on the kstar, so color_auto runs mad_exact's
+        # flows and no others, and every flow reads the one kernel
         g = Graph(96, [*gen_kstar(8).edges(), (0, 36), *((v, v + 1) for v in range(36, 95))])
         built, kernel = [], graph._Kernel
         monkeypatch.setattr(graph, "_Kernel", lambda *a: built.append(a) or kernel(*a))
         calls = self.count_flows(monkeypatch)
         assert mad_exact(g).mad == Fraction(28, 9)
+        alone = len(calls)
         assert color_auto(g).strategy == "eps"
-        assert len(calls) > 2 and len(built) == 1
+        assert alone == 2 and len(calls) == 2 * alone and len(built) == 1
 
-    @pytest.mark.parametrize("g, strategy", [
+    @pytest.mark.parametrize("g, band", [
         (util.roadmap_corpus(100), "five"),  # mad_exact takes 3 flows
         (subdivide(util.random_graph(random.Random(2), 40, 104)), "six"),  # 3
     ])
-    def test_band_takes_one_flow_where_mad_exact_takes_more(self, monkeypatch, g, strategy):
+    def test_band_takes_one_flow_where_mad_exact_takes_more(self, monkeypatch, g, band):
+        # the five reduction completes on both, the six-band graph included,
+        # so color_auto runs no flow at all
         calls = self.count_flows(monkeypatch)
-        mad_exact(g)
+        mad = mad_exact(g).mad
         assert len(calls) == 3
+        assert band == ("five" if mad < Fraction(20, 7) else "six" if mad < 3 else None)
         calls.clear()
-        assert color_auto(g).strategy == strategy
-        assert len(calls) == 1
+        assert color_auto(g) == constructive._reduce_and_replay(g, constructive._FIVE, 5, "five")
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("g", [gen_kstar(8), gen_complete(5)])
     def test_dense_graph_runs_only_mad_exact(self, monkeypatch, g):
@@ -494,6 +519,9 @@ class TestColorAuto:
         assert result.strategy == ("eps" if mad < 4 else "exact")
 
     def test_strategy_is_the_band_of_the_brute_force_mad(self):
+        # the strategy is the first engine whose reduction completes, with a
+        # bound no larger than that of the brute-force mad's band; when
+        # neither completes, it is that band
         rng = random.Random(151)
         bands = Counter()
         while sum(bands.values()) < 200:
@@ -505,9 +533,44 @@ class TestColorAuto:
             mad = util.brute_force_mad(g)
             band = ("five" if mad < Fraction(20, 7) else "six" if mad < 3
                     else "eps" if mad < 4 else "exact")
-            assert result.strategy == band
+            first = next((name for name, rules in ENGINES if reduces(g, rules)), band)
+            assert result.strategy == first
+            assert result.bound <= band_bound(band, mad)
             bands[band] += 1
         assert min(bands[b] for b in ("five", "six", "eps", "exact")) >= 5, bands
+
+    def test_completed_reduction_colors_outside_its_band(self):
+        # the replay of a completed reduction needs no density bound: on
+        # random and partly subdivided graphs, every completed five or six
+        # reduction replays to a verified coloring with at most 5 or 6
+        # colors, inside its band and out of it; and below 20/7 color_auto
+        # is color_five
+        rng = random.Random(163)
+        outside, checked = Counter(), 0
+        for i in range(300):
+            if i % 2:
+                n = rng.randint(5, 13)
+                g = util.random_graph(rng, n, rng.randint(n, 2 * n))
+            else:
+                nh = rng.randint(4, 7)
+                h = util.random_graph(rng, nh, rng.randint(nh, min(nh * (nh - 1) // 2, 2 * nh)))
+                g = util.partial_subdivide(rng, h, rng.choice([0.3, 0.5, 0.7]))
+                if g.n > 14:
+                    continue
+            mad = util.brute_force_mad(g)
+            for (name, rules), k, limit in zip(ENGINES, (5, 6), (Fraction(20, 7), 3)):
+                if reduces(g, rules):
+                    result = constructive._reduce_and_replay(g, rules, k, name)
+                    assert util.odd_coloring_by_definition(g, list(result.colors))
+                    assert_valid(g, result)
+                    assert result.bound == k
+                    outside[name] += mad >= limit
+            if mad < Fraction(20, 7):
+                result = color_auto(g)
+                early = result.strategy in ("edgeless", "two-color", "forest", "cycle")
+                assert early or result == color_five(g)
+                checked += not early
+        assert min(outside["five"], outside["six"]) >= 20 and checked >= 100, (outside, checked)
 
 
 class TestReductionWork:
