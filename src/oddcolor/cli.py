@@ -126,7 +126,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
                 raise _UsageError("--epsilon must satisfy 0 < eps <= 8/5")
             result = constructive.color_eps(g, eps)
     except (exact.BudgetExceededError, ValueError) as exc:
-        # budget gone, or strategy precondition not met (wrong density, not a forest/cycle)
+        # budget gone, or no forest/cycle, or a named engine ran out outside its band
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     _write_text(args.output, coloring_to_json(

@@ -48,11 +48,12 @@ Every record kind except adjacent-4v is a star: a center, colored first,
 and some of its degree-2 neighbors.  One replay colors all of them, driven
 by three flags per kind (``_STAR_REPLAY``); adjacent-4v has its own.
 
-Three engines are provided:
+Three engines are provided.  A completed reduction proves its bound; the
+density band only guarantees that the reduction completes:
 
-* ``color_eps(g, eps)``: mad(g) <= 4 - eps gives floor(8/eps) + 2 colors;
-* ``color_six(g)``: mad(g) < 3 gives 6 colors;
-* ``color_five(g)``: mad(g) < 20/7 gives 5 colors;
+* ``color_eps(g, eps)``: floor(8/eps) + 2 colors, guaranteed for mad(g) <= 4 - eps;
+* ``color_six(g)``: 6 colors, guaranteed for mad(g) < 3;
+* ``color_five(g)``: 5 colors, guaranteed for mad(g) < 20/7;
 
 plus direct colorers for forests (3 colors), cycles (3/4/5 by length), the
 two-color classifier, the canonical coloring of subdivided complete
@@ -376,17 +377,17 @@ def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
 
 
 def eps_reduction_records(g: Graph, eps: Fraction) -> list[ReductionRecord]:
-    """Full deletion sequence of the eps engine (precondition not re-checked)."""
+    """Full deletion sequence of the eps engine (no density check)."""
     return _reduce_all(g, _eps_engine(Fraction(eps))[0])
 
 
 def six_reduction_records(g: Graph) -> list[ReductionRecord]:
-    """Full deletion sequence of the 6-color engine (precondition not re-checked)."""
+    """Full deletion sequence of the 6-color engine (no density check)."""
     return _reduce_all(g, _SIX)
 
 
 def five_reduction_records(g: Graph) -> list[ReductionRecord]:
-    """Full deletion sequence of the 5-color engine (precondition not re-checked)."""
+    """Full deletion sequence of the 5-color engine (no density check)."""
     return _reduce_all(g, _FIVE)
 
 
@@ -475,16 +476,6 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
         _paint(col, odd, adj, w, _first_free(avoid, k))
 
 
-def _reduce_and_replay(
-    g: Graph, rules: tuple[_Rule, ...], k: int, strategy: str
-) -> ColoringResult:
-    """Reduce with rules, replay in reverse with k colors and verify.
-
-    Each configuration is reducible by a local argument, so a completed
-    reduction replays with k colors whatever the density."""
-    return _replay_all(g, _reduce_all(g, rules), k, strategy)
-
-
 def _replay_all(g: Graph, records: list[ReductionRecord], k: int, strategy: str) -> ColoringResult:
     col, odd = [0] * g.n, [0] * g.n
     for rec in reversed(records):
@@ -516,10 +507,8 @@ def color_forest(g: Graph) -> ColoringResult:
     """
     if not g.is_forest():
         raise ValueError("graph contains a cycle")
-    col, odd = [0] * g.n, [0] * g.n
-    for v, _ in reversed(_contract(g).peeled):
-        _replay(col, odd, 3, ReductionRecord("leaf", (v,)), g._adj)
-    return _finish(g, tuple(col), 3, "forest")
+    records = [ReductionRecord("leaf", (v,)) for v, _ in _contract(g).peeled]
+    return _replay_all(g, records, 3, "forest")
 
 
 def _cycle_pattern(n: int) -> list[int]:
@@ -559,32 +548,41 @@ def classify_small(g: Graph) -> ColoringResult | None:
     return None
 
 
-def color_eps(g: Graph, eps: Fraction | int) -> ColoringResult:
-    """Odd coloring with floor(8/eps) + 2 colors for graphs of mad <= 4 - eps.
+def _engine(g: Graph, rules: tuple[_Rule, ...], k: int, strategy: str,
+            in_band: Callable[[], bool], why: str) -> ColoringResult:
+    """Reduce with rules, replay in reverse with k colors and verify.
 
-    Requires 0 < eps <= 8/5.  The precondition mad(g) <= 4 - eps is
-    verified exactly before reducing.
+    No flow runs unless the reduction runs out; then in_band, a flow-backed
+    decider, tells a graph outside the band (ValueError(why)) from a fault.
     """
+    try:
+        records = _reduce_all(g, rules)
+    except ReductionExhaustedError:
+        if in_band():
+            raise
+        raise ValueError(why) from None
+    return _replay_all(g, records, k, strategy)
+
+
+def color_eps(g: Graph, eps: Fraction | int) -> ColoringResult:
+    """Odd coloring with floor(8/eps) + 2 colors, 0 < eps <= 8/5: guaranteed
+    for mad <= 4 - eps, and given for any graph the reduction completes on."""
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(8, 5):
         raise ValueError("eps must satisfy 0 < eps <= 8/5")
-    if not mad_at_most(g, 4 - eps):
-        raise ValueError(f"mad(G) exceeds 4 - eps = {4 - eps}")
-    return _reduce_and_replay(g, *_eps_engine(eps), "eps")
+    return _engine(g, *_eps_engine(eps), "eps", lambda: mad_at_most(g, 4 - eps),
+                   f"mad(G) exceeds 4 - eps = {4 - eps}")
 
 
 def color_six(g: Graph) -> ColoringResult:
-    """Odd coloring with at most 6 colors for graphs of mad < 3."""
-    if not mad_below(g, 3):
-        raise ValueError("color_six requires mad(G) < 3")
-    return _reduce_and_replay(g, _SIX, 6, "six")
+    """Odd coloring with at most 6 colors: guaranteed for mad < 3, often above."""
+    return _engine(g, _SIX, 6, "six", lambda: mad_below(g, 3), "color_six requires mad(G) < 3")
 
 
 def color_five(g: Graph) -> ColoringResult:
-    """Odd coloring with at most 5 colors for graphs of mad < 20/7."""
-    if not mad_below(g, Fraction(20, 7)):
-        raise ValueError("color_five requires mad(G) < 20/7")
-    return _reduce_and_replay(g, _FIVE, 5, "five")
+    """Odd coloring with at most 5 colors: guaranteed for mad < 20/7, often above."""
+    return _engine(g, _FIVE, 5, "five", lambda: mad_below(g, Fraction(20, 7)),
+                   "color_five requires mad(G) < 20/7")
 
 
 def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
@@ -614,7 +612,8 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
         return _replay_all(g, records, k, strategy)
     mad = mad_exact(g).mad
     if mad < 4:
-        return _reduce_and_replay(g, *_eps_engine(4 - mad), "eps")
+        rules, k = _eps_engine(4 - mad)
+        return _replay_all(g, _reduce_all(g, rules), k, "eps")
     if budget is None:
         raise UnsupportedDensityError(
             "mad(G) >= 4: no constructive bound applies; supply a search budget"

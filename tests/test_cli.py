@@ -232,6 +232,26 @@ class TestColorVerify:
         proc = run(["color", "--strategy", "eps", "--epsilon", "8/5"], stdin=graph)
         assert proc.returncode == 1 and proc.stderr.startswith("error: mad(G) exceeds")
 
+    @pytest.mark.parametrize("g, argv, bound", [
+        # six band (mad 178/61 >= 20/7), and the five reduction completes
+        (subdivide(util.random_graph(random.Random(2), 40, 104)), ["--strategy", "five"], 5),
+        # K4: mad 3 > 4 - 8/5, and it reduces through three-vertex records
+        (oddcolor.gen_complete(4), ["--strategy", "eps", "--epsilon", "8/5"], 7),
+    ], ids=["five", "eps"])
+    def test_named_engine_colors_an_out_of_band_graph_it_reduces(self, tmp_path, g, argv, bound):
+        # a completed reduction proves its bound, so the engine prints a
+        # coloring instead of an error
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(serialize_graph(g))
+        proc = run(["color", *argv, "-i", str(graph_file)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["bound"] == bound and payload["k"] <= bound
+        coloring_file = tmp_path / "c.json"
+        coloring_file.write_text(proc.stdout)
+        proc = run(["verify", "-i", str(graph_file), "--coloring", str(coloring_file)])
+        assert proc.returncode == 0 and proc.stdout == "VALID\n"
+
     @pytest.mark.parametrize("epsilon", ["0", "-1", "9/5"])
     def test_epsilon_out_of_range_is_usage_error(self, epsilon):
         graph = chain(["gen", "kstar", "7"])
@@ -509,6 +529,16 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == "" and err == (
             "error: internal: PaletteExhaustedError: all 5 colors forbidden\n")
+
+    def test_in_band_exhaustion_is_internal_error(self, monkeypatch, capsys):
+        # a named engine that runs out on a graph of its band (the 7-cycle,
+        # mad 2) has a fault: it is not reported as a failed precondition
+        monkeypatch.setattr(constructive, "_FIVE", ())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(oddcolor.gen_cycle(7))))
+        assert cli.main(["color", "--strategy", "five"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: internal: ReductionExhaustedError: "
+                                     "no reducible configuration in a non-empty graph\n")
 
     def test_invalid_exact_witness_is_one_line(self, monkeypatch, capsys):
         # a search that assembles an improper coloring is caught before output

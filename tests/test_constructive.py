@@ -345,8 +345,17 @@ class TestColorEps:
             color_eps(gen_cycle(6), 2)
 
     def test_density_precondition(self):
+        # kstar(7) has mad 3 > 4 - 8/5, and at 8/5 the engine runs out on it
         with pytest.raises(ValueError, match="mad"):
-            color_eps(gen_complete(4), Fraction(8, 5))
+            color_eps(gen_kstar(7), Fraction(8, 5))
+
+    def test_out_of_band_graph_that_reduces(self):
+        # K4 has mad 3 > 4 - 8/5, yet it reduces through three-vertex
+        # records, and a completed reduction proves its bound
+        g = gen_complete(4)
+        result = color_eps(g, Fraction(8, 5))
+        assert result.bound == 7 and result.strategy == "eps"
+        assert util.odd_coloring_by_definition(g, list(result.colors))
 
     def test_random_certified(self):
         rng = random.Random(107)
@@ -389,6 +398,57 @@ class TestColorEps:
                     for w in g.neighbors(u):
                         if alive[w]:
                             deg[w] -= 1
+
+
+def padded_kstar():
+    """kstar(8) with a 60-vertex pendant path: 2m/n = 29/12 is below every
+    band's threshold, so deciding the band takes a flow; mad is 28/9, above
+    every band, and every engine runs out on the kstar.  A new graph per
+    call, since a graph keeps its kernel."""
+    return Graph(96, [*gen_kstar(8).edges(), (0, 36), *((v, v + 1) for v in range(36, 95))])
+
+
+NAMED = {  # engine, and the name of its rule table
+    "five": (color_five, "_FIVE"),
+    "six": (color_six, "_SIX"),
+    "eps": (lambda g: color_eps(g, 1), "_EPS_RULES"),
+}
+
+
+def count_flows(monkeypatch):
+    calls = []
+    flow = sparsity._denser_subgraph
+    monkeypatch.setattr(sparsity, "_denser_subgraph", lambda *a: calls.append(a) or flow(*a))
+    return calls
+
+
+class TestReduceFirst:
+    # a named engine reduces first; its density decider runs only to explain
+    # a reduction that ran out: outside the band as ValueError, inside it as
+    # the fault it is
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_flows_only_when_the_reduction_runs_out(self, monkeypatch, name):
+        engine, _ = NAMED[name]
+        calls = count_flows(monkeypatch)
+        for g in (gen_kstar(5), util.roadmap_corpus(100), gen_cycle(7)):
+            assert_valid(g, engine(g))
+        assert len(calls) == 0
+        with pytest.raises(ValueError, match="mad"):
+            engine(padded_kstar())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_in_band_exhaustion_is_a_fault(self, monkeypatch, name):
+        # without its configurations (the eps star, which stays, needs
+        # degree 4) the engine runs out on the 7-cycle, of mad 2 and so in
+        # every band, and its decider, one flow, says so
+        engine, table = NAMED[name]
+        monkeypatch.setattr(constructive, table, ())
+        calls = count_flows(monkeypatch)
+        with pytest.raises(constructive.ReductionExhaustedError):
+            engine(gen_cycle(7))
+        assert len(calls) == 1
 
 
 class TestSubdividedStress:
@@ -454,15 +514,6 @@ class TestColorAuto:
             second = color_auto(g, SolveBudget(max_k=16))
             assert first == second
 
-    @staticmethod
-    def count_flows(monkeypatch):
-        calls = []
-        flow = sparsity._denser_subgraph
-        monkeypatch.setattr(
-            sparsity, "_denser_subgraph", lambda *a: calls.append(a) or flow(*a)
-        )
-        return calls
-
     @pytest.mark.parametrize("n, strategy, engine", [
         (5, "five", color_five),  # the five reduction completes: no flow
         (6, "six", color_six),  # five runs out, six completes: no flow
@@ -470,7 +521,7 @@ class TestColorAuto:
     ])
     def test_density_decided_once(self, monkeypatch, n, strategy, engine):
         g = gen_kstar(n)
-        calls = self.count_flows(monkeypatch)
+        calls = count_flows(monkeypatch)
         mad_exact(g)
         alone = len(calls)
         calls.clear()
@@ -479,13 +530,12 @@ class TestColorAuto:
         assert result.strategy == strategy and result == engine(g)
 
     def test_kernel_built_once_per_graph(self, monkeypatch):
-        # kstar(8) with a 60-vertex pendant path: 2m/n = 29/12 but mad 28/9;
         # both reductions run out on the kstar, so color_auto runs mad_exact's
         # flows and no others, and every flow reads the one kernel
-        g = Graph(96, [*gen_kstar(8).edges(), (0, 36), *((v, v + 1) for v in range(36, 95))])
+        g = padded_kstar()
         built, kernel = [], graph._Kernel
         monkeypatch.setattr(graph, "_Kernel", lambda *a: built.append(a) or kernel(*a))
-        calls = self.count_flows(monkeypatch)
+        calls = count_flows(monkeypatch)
         assert mad_exact(g).mad == Fraction(28, 9)
         alone = len(calls)
         assert color_auto(g).strategy == "eps"
@@ -498,19 +548,20 @@ class TestColorAuto:
     def test_band_takes_one_flow_where_mad_exact_takes_more(self, monkeypatch, g, band):
         # the five reduction completes on both, the six-band graph included,
         # so color_auto runs no flow at all
-        calls = self.count_flows(monkeypatch)
+        calls = count_flows(monkeypatch)
         mad = mad_exact(g).mad
         assert len(calls) == 3
         assert band == ("five" if mad < Fraction(20, 7) else "six" if mad < 3 else None)
         calls.clear()
-        assert color_auto(g) == constructive._reduce_and_replay(g, constructive._FIVE, 5, "five")
+        records = constructive._reduce_all(g, constructive._FIVE)
+        assert color_auto(g) == constructive._replay_all(g, records, 5, "five")
         assert len(calls) == 0
 
     @pytest.mark.parametrize("g", [gen_kstar(8), gen_complete(5)])
     def test_dense_graph_runs_only_mad_exact(self, monkeypatch, g):
         # with 2m/n >= 3 neither band check needs a flow
         assert 2 * g.m >= 3 * g.n
-        calls = self.count_flows(monkeypatch)
+        calls = count_flows(monkeypatch)
         mad = mad_exact(g).mad
         alone = len(calls)
         calls.clear()
@@ -560,7 +611,8 @@ class TestColorAuto:
             mad = util.brute_force_mad(g)
             for (name, rules), k, limit in zip(ENGINES, (5, 6), (Fraction(20, 7), 3)):
                 if reduces(g, rules):
-                    result = constructive._reduce_and_replay(g, rules, k, name)
+                    records = constructive._reduce_all(g, rules)
+                    result = constructive._replay_all(g, records, k, name)
                     assert util.odd_coloring_by_definition(g, list(result.colors))
                     assert_valid(g, result)
                     assert result.bound == k

@@ -181,8 +181,9 @@ class TestFlowMatchesReference:
             m_over_n = Fraction(g.m, g.n)
             for d in (Fraction(1, 3), Fraction(1), m_over_n, Fraction(10, 7), Fraction(3, 2), Fraction(2)):
                 self.assert_same(g, d)
-        # the two thresholds color_auto decides, where the package writes
-        # the second phase's flow in closed form: some of it must be there
+        # the thresholds mad_below(g, 20/7) and mad_below(g, 3) flow at, where
+        # the package writes the second phase's flow in closed form: some of
+        # it must be there
         second_phase = 0
         for g in auto_shaped_graphs():
             for d in (Fraction(10, 7) - Fraction(1, 28 * g.n), Fraction(3, 2) - Fraction(1, 4 * g.n)):
