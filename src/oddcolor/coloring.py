@@ -45,6 +45,13 @@ def _first_free(avoid: int, k: int) -> int:
     return c
 
 
+def _two_coloring(g: Graph) -> list[int] | None:
+    """The sides (0/1 per vertex) of an odd 2-coloring, or None: one exists iff
+    g is bipartite and every degree is 0 or odd (each vertex then sees its
+    whole, odd-sized neighborhood in the other color)."""
+    return None if any(d % 2 == 0 and d for d in g.degrees()) else g.bipartition()
+
+
 def is_odd_coloring(g: Graph, colors: Iterable[int]) -> tuple[bool, list[Violation]]:
     """Check a total assignment; returns (ok, all violations found).
 

@@ -31,8 +31,9 @@ reductions are fully deterministic; the eps engine ends in one rule keyed
 by charge, which picks the degree-4+ vertex of least charge.  One object
 (``_Reducer``) holds the loop's state: the alive vertices, their current
 degrees, the leaf heap and, per rule, a lazily checked heap of candidate
-centers, to which a deletion pushes only the vertices within the rule's
-reach (its wake) whose degree, or a neighbour's, fell.
+centers, filled when the loop first reaches the rule; a deletion pushes
+only the vertices in the rule's reach (its wake) whose degree, or a
+neighbour's, fell.
 
 Most rows are plain stars built by ``_star`` from counts: a center with at
 least t 2-neighbors, or at least w neighbors of degree at most 3, deleted
@@ -68,7 +69,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Container, NamedTuple
 
-from .coloring import _first_free, is_odd_coloring
+from .coloring import _first_free, _two_coloring, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
 from .graph import Graph, _contract, gen_kstar
 from .sparsity import mad_at_most, mad_below, mad_exact
@@ -149,9 +150,9 @@ class _Reducer:
     queued once per key and its older entries are skipped.  The entry at
     the top is checked again (alive, of the rule's degree, matching) and
     dropped when it fails, so the first that passes is the first rule's
-    lowest center, or its center of least key.  A keyed rule's heap (the eps
-    star's) is filled when first() first reaches it, and wake skips it until
-    then; from that moment the invariant holds, so its choice is the same.
+    lowest center, or its center of least key.  Each rule's heap is filled
+    from the live graph when first() first reaches it, and wake skips it
+    until then; from then on the invariant holds, so its choice is the same.
     """
 
     def __init__(self, g: Graph, rules: tuple[_Rule, ...]):
@@ -160,9 +161,9 @@ class _Reducer:
         self.deg = deg = list(g.degrees())
         self.remaining = g.n
         self.leaves = [v for v, d in enumerate(deg) if d < 2]  # in index order: a heap
-        # one (rule, heap, last) slot per rule, in priority order; a keyed
-        # rule's last stays empty until its heap is filled
-        self.slots = [(rule, [], [] if rule.key else [None] * g.n) for rule in rules]
+        # one (rule, heap, last) slot per rule, in priority order; its last
+        # stays empty until first() reaches it and fills its heap
+        self.slots = [(rule, [], []) for rule in rules]
         top = max(deg, default=0) + 1
         # own[d]: the slots whose centers may have degree d; near[du][dv]:
         # those a neighbour of degree dv is pushed to when u falls to du
@@ -171,11 +172,6 @@ class _Reducer:
             du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
             for du in {du for rule in rules for du in rule.wake}
         }
-        for v, d in enumerate(deg):  # in index order, so each list is a heap
-            for _, heap, last in self.own[d]:
-                if last:
-                    last[v] = 0
-                    heap.append((0, v))
 
     def nbrs(self, v: int) -> list[int]:
         alive = self.alive
@@ -202,7 +198,7 @@ class _Reducer:
     def push(self, v: int, slots: list[_Slot]) -> None:
         """Give v a current entry in the heaps of these rules."""
         for rule, heap, last in slots:
-            if not last:  # an unfilled keyed heap
+            if not last:  # not filled yet
                 continue
             k = rule.key(self, v) if rule.key else 0
             if last[v] != k:
@@ -230,11 +226,11 @@ class _Reducer:
         """Record of the first rule that matches, at its lowest center."""
         alive, deg = self.alive, self.deg
         for rule, heap, last in self.slots:
-            if not last:  # a keyed rule reached for the first time: fill in place
+            if not last:  # reached for the first time: fill in place
                 last += [None] * len(alive)
                 for v, d in enumerate(deg):
                     if alive[v] and d in rule.degrees:
-                        last[v] = k = rule.key(self, v)
+                        last[v] = k = rule.key(self, v) if rule.key else 0
                         heap.append((k, v))
                 heapify(heap)
             while heap:
@@ -324,7 +320,8 @@ _EPS_RULES = (
 
 
 def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
-    """An engine's deletion sequence; it deletes the leaves itself."""
+    """An engine's deletion sequence; it deletes the leaves itself, and it
+    alone raises ReductionExhaustedError, when no rule matches."""
     st = _Reducer(g, rules)
     alive, leaves = st.alive, st.leaves
     records = []
@@ -360,13 +357,10 @@ def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:
     def charge(st: _Reducer, v: int) -> int:
         return q * st.deg[v] - p * len(_two_neighbors(st, v))
 
-    def star(st: _Reducer, v: int) -> ReductionRecord:
+    def star(st: _Reducer, v: int) -> ReductionRecord | None:
         twos = _two_neighbors(st, v)
         if q * st.deg[v] - p * len(twos) > 2 * q + 2 * p:
-            value = st.deg[v] - x * len(twos)
-            raise ReductionExhaustedError(
-                f"selected vertex {v} has charge {value} > {2 + 2 * x}"
-            )
+            return None  # every later center has at least this charge
         return ReductionRecord("star", (v, *twos))
 
     # with at most deg 2-neighbours, a charge within the bound gives
@@ -535,15 +529,14 @@ def color_cycle_graph(g: Graph) -> ColoringResult:
 def classify_small(g: Graph) -> ColoringResult | None:
     """Detect the one- and two-color cases.
 
-    One color iff there are no edges; two iff the graph is bipartite and
-    every degree is zero or odd (each vertex then sees its full, odd-sized
-    neighborhood in the opposite color).  Returns None otherwise.
+    One color iff there are no edges; two iff _two_coloring finds sides.
+    Returns None otherwise.
     """
     if g.n == 0:
         return ColoringResult((), 0, 0, "edgeless")
     if g.m == 0:
         return ColoringResult((1,) * g.n, 1, 1, "edgeless")
-    if all(d % 2 or d == 0 for d in g.degrees()) and (side := g.bipartition()) is not None:
+    if (side := _two_coloring(g)) is not None:
         return _finish(g, tuple(s + 1 for s in side), 2, "two-color")
     return None
 
@@ -593,7 +586,7 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
     reduction, and the 6-color one if it runs out of configurations: one
     that completes proves its bound, so no flow runs.  It completes whenever
     mad < 20/7 (resp. 3), and often above.  Only when both run out: the
-    exact mad, and below 4 the eps engine at eps = 4 - mad.  Denser graphs
+    exact mad, and below 4 color_eps at eps = 4 - mad.  Denser graphs
     fall back to the exact solver when a budget is supplied and raise
     UnsupportedDensityError otherwise.
     """
@@ -611,9 +604,8 @@ def color_auto(g: Graph, budget: SolveBudget | None = None) -> ColoringResult:
             continue
         return _replay_all(g, records, k, strategy)
     mad = mad_exact(g).mad
-    if mad < 4:
-        rules, k = _eps_engine(4 - mad)
-        return _replay_all(g, _reduce_all(g, rules), k, "eps")
+    if mad < 4:  # six ran out, so mad >= 3 and 0 < eps <= 1
+        return color_eps(g, 4 - mad)
     if budget is None:
         raise UnsupportedDensityError(
             "mad(G) >= 4: no constructive bound applies; supply a search budget"

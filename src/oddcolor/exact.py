@@ -20,7 +20,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .coloring import is_odd_coloring
+from .coloring import _two_coloring, is_odd_coloring
 from .graph import Graph
 
 
@@ -246,9 +246,9 @@ def odd_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> Colora
 
 def _lower_bound(g: Graph, orders: list[list[int]]) -> int:
     """The largest greedy clique, at least 3 if g fails the exact 2-color test
-    (bipartite, all degrees 0 or odd), at least cycle_chi of cycle components."""
+    (_two_coloring), at least cycle_chi of cycle components."""
     deg = g.degrees()
-    best = 3 if any(d and d % 2 == 0 for d in deg) or g.bipartition() is None else 1
+    best = 1 if _two_coloring(g) is not None else 3
     for order in orders:
         if all(deg[v] == 2 for v in order):
             best = max(best, cycle_chi(len(order)))

@@ -12,7 +12,7 @@ from oddcolor import (
     gen_star,
     is_odd_coloring,
 )
-from oddcolor.coloring import _first_free
+from oddcolor.coloring import _first_free, _two_coloring
 from oddcolor.constructive import _paint
 
 import util
@@ -153,6 +153,23 @@ class TestChooseColor:
     def test_exhausted(self):
         with pytest.raises(PaletteExhaustedError, match=r"all 3 colors forbidden by \[1, 2, 3\]"):
             _first_free(0b1110, 3)
+
+
+class TestTwoColoring:
+    def test_agrees_with_brute_force(self):
+        # the one odd 2-coloring test, shared by classify_small and the exact
+        # solver's lower bound: sides exactly when two colors suffice
+        rng = random.Random(97)
+        two = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)  # the brute force stops at 6 colors
+            g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
+            side = _two_coloring(g)
+            assert (side is not None) == (util.brute_force_odd_chromatic(g) <= 2)
+            if side is not None:
+                assert is_odd_coloring(g, [s + 1 for s in side])[0]
+                two += 1
+        assert two >= 20
 
 
 class TestColoringJson:

@@ -255,6 +255,27 @@ class TestFinders:
             constructive._Reducer(gen_path(3), ()).delete((0, 0))
 
 
+class TestRuleLifeCycle:
+    # every row fills its heap from the live graph when first() first
+    # reaches it; a row that matches nowhere returns None, and only the loop
+    # raises ReductionExhaustedError
+
+    def test_rows_fill_on_first_reach(self):
+        st = constructive._Reducer(gen_cycle(7), constructive._FIVE)
+        assert all(not last for _, _, last in st.slots)
+        rec = st.first()
+        assert rec.kind == "adjacent-2" and rec.deleted[0] == 0
+        assert st.slots[0][2] and all(not last for _, _, last in st.slots[1:])
+
+    def test_eps_star_returns_none_above_its_bound(self):
+        # every vertex of K5 has degree 4 and no 2-neighbour: charge 4 > 3
+        rules, _ = constructive._eps_engine(Fraction(1))
+        st = constructive._Reducer(gen_complete(5), ())
+        assert rules[-1].match(st, 0) is None
+        with pytest.raises(constructive.ReductionExhaustedError):
+            eps_reduction_records(gen_complete(5), 1)
+
+
 class TestColorSix:
     def test_kstar_six_needs_all_six(self):
         g = gen_kstar(6)
@@ -528,6 +549,15 @@ class TestColorAuto:
         result = color_auto(g)
         assert alone > 0 and len(calls) == (alone if strategy == "eps" else 0)
         assert result.strategy == strategy and result == engine(g)
+
+    def test_eps_rung_is_color_eps(self, monkeypatch):
+        # both reductions run out on kstar(8), of mad 28/9: the eps engine
+        # at 4 - mad = 8/9, with floor(8 / (8/9)) + 2 = 11 colors
+        calls, engine = [], constructive.color_eps
+        monkeypatch.setattr(constructive, "color_eps", lambda g, eps: calls.append(eps) or engine(g, eps))
+        result = color_auto(gen_kstar(8))
+        assert calls == [Fraction(8, 9)]
+        assert result.strategy == "eps" and result.bound == 11
 
     def test_kernel_built_once_per_graph(self, monkeypatch):
         # both reductions run out on the kstar, so color_auto runs mad_exact's

@@ -452,7 +452,9 @@ def reduction_records_by_scan(g: Graph, rules, eps=None) -> list:
     order and the first match is the next record.  A keyed rule (the eps
     star) is tried only at the vertex of least charge
     deg(v) - (1 - eps/2) * (number of 2-neighbors), lowest index on ties,
-    computed here from scratch.
+    computed here from scratch; its match returns None above the charge
+    bound, and then no rule matches.  The _Reducer here has no rules, so it
+    fills no heap: it only keeps the alive mask and degrees.
     """
     st = _Reducer(g, ())
     records = []
