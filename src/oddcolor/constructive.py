@@ -47,7 +47,7 @@ shape and change the reduction sequence.
 
 Every record kind except adjacent-4v is a star: a center, colored first,
 and some of its degree-2 neighbors.  One replay colors all of them, driven
-by three flags per kind (``_STAR_REPLAY``); adjacent-4v has its own.
+by three columns per kind (``_STAR_REPLAY``); adjacent-4v has its own.
 
 Three engines are provided.  A completed reduction proves its bound; the
 density band only guarantees that the reduction completes:
@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, Container, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .coloring import _first_free, _two_coloring, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
@@ -89,14 +89,12 @@ class ReductionRecord(NamedTuple):
 
     deleted lists the removed vertices in coloring order (the center
     first).  Their neighbours that survive the deletion are not stored: in
-    the replay they are the colored ones.  protect lists surviving vertices
-    whose current unique odd color the center must additionally avoid (only
-    the weak-3-vertex configuration needs it).
+    the replay they are the colored ones, and which of them the center
+    protects follows from those and deleted.
     """
 
     kind: str
     deleted: tuple[int, ...]
-    protect: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class _Rule(NamedTuple):
     take their lowest-indexed center.
     """
 
-    degrees: Container[int]
+    degrees: Collection[int]
     match: _Match
     wake: tuple[int, ...] = ()
     far: bool = False
@@ -165,11 +163,14 @@ class _Reducer:
         # stays empty until first() reaches it and fills its heap
         self.slots = [(rule, [], []) for rule in rules]
         top = max(deg, default=0) + 1
+        rows = min(top, 1 + max((d for rule in rules for d in rule.degrees), default=0))
         # own[d]: the slots whose centers may have degree d; near[du][dv]:
-        # those a neighbour of degree dv is pushed to when u falls to du
-        self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(top)]
+        # those a neighbour of degree dv is pushed to when u falls to du; the
+        # degrees from rows up, no row's centers, share one empty list
+        pad = [[]] * (top - rows)
+        self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(rows)] + pad
         self.near = {
-            du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(top)]
+            du: [[s for s in self.own[dv] if du in s[0].wake] for dv in range(rows)] + pad
             for du in {du for rule in rules for du in rule.wake}
         }
 
@@ -243,6 +244,8 @@ class _Reducer:
                 rec = rule.match(self, v)
                 if rec is not None:
                     return rec
+                if rule.key:  # every later center has at least this key
+                    break
         return None
 
 
@@ -255,27 +258,20 @@ def _two_neighbors(st: _Reducer, v: int) -> list[int]:
 # Configurations: each matches at a center v of the degree its rule names
 
 
-def _star(kind: str, degrees: Container[int], twos: int = 0,
-          take: int | None = None, weak: int = 0, protect: bool = False) -> _Rule:
+def _star(kind: str, degrees: Collection[int], twos: int = 0, weak: int = 0) -> _Rule:
     """Rule whose centers have at least weak neighbors of degree at most 3
-    and at least twos 2-neighbors; it deletes the center with its first
-    take 2-neighbors (all of them when take is None), and with protect
-    protects its survivors of degree 4+, or its one survivor.  Its wake
-    follows from its counts.  A row that neither counts nor takes
-    2-neighbors never scans for them: three-vertex matches often."""
+    and at least twos 2-neighbors.  A row that counts weak neighbors deletes
+    the center with all of its 2-neighbors, any other row with its first
+    twos.  Its wake follows from its counts.  A row that counts neither
+    never scans for 2-neighbors: three-vertex matches often."""
 
     def match(st: _Reducer, v: int) -> ReductionRecord | None:
         if weak and sum(1 for w in st.nbrs(v) if st.deg[w] <= 3) < weak:
             return None
-        ws = _two_neighbors(st, v) if twos or take != 0 else []
+        ws = _two_neighbors(st, v) if twos or weak else []
         if len(ws) < twos:
             return None
-        deleted = (v, *ws[:take])
-        if not protect:
-            return ReductionRecord(kind, deleted)
-        surv = [u for u in st.nbrs(v) if u not in deleted]
-        guard = tuple(u for u in surv if len(surv) == 1 or st.deg[u] >= 4)
-        return ReductionRecord(kind, deleted, guard)
+        return ReductionRecord(kind, (v, *(ws if weak else ws[:twos])))
 
     return _Rule(degrees, match, wake=(2, 3) if weak else (2,) if twos else ())
 
@@ -299,22 +295,22 @@ def _adjacent_four(st: _Reducer, v: int) -> ReductionRecord | None:
 # step on, so a new 2-neighbour of the partner wakes the center too.  A drop
 # to 1 needs no wake: the loop deletes that leaf before any rule runs, and
 # the deletion wakes the center itself.
-_ADJACENT_TWO = _star("adjacent-2", (2,), twos=1, take=1)
+_ADJACENT_TWO = _star("adjacent-2", (2,), twos=1)
 _SIX = (
     _ADJACENT_TWO,
-    _star("3v-with-2nbr", (3,), twos=1, take=1),
-    _star("4v-three-2nbrs", (4,), twos=3, take=3),
+    _star("3v-with-2nbr", (3,), twos=1),
+    _star("4v-three-2nbrs", (4,), twos=3),
     _star("5v-five-2nbrs", (5,), twos=5),
 )
 _FIVE = (
     _ADJACENT_TWO,
-    _star("3v-weak-pair", (3,), weak=2, protect=True),
+    _star("3v-weak-pair", (3,), weak=2),
     _star("4v-weak", (4,), twos=4),
     _star("4v-weak", (4,), twos=1, weak=4),
     _Rule((4,), _adjacent_four, wake=(2, 4), far=True),
 )
 _EPS_RULES = (
-    _star("three-vertex", (3,), take=0),
+    _star("three-vertex", (3,)),
     _ADJACENT_TWO,
 )
 
@@ -389,23 +385,24 @@ def five_reduction_records(g: Graph) -> list[ReductionRecord]:
 # Replay
 
 
-# kind -> (protect_surv, dodge_center, dodge_lone) for the star replay.
-# protect_surv: the center avoids the unique odd colors of its surviving
-#   neighbors; otherwise those of rec.protect.
+# kind -> (protect, dodge_center, dodge_lone) for the star replay.
+# protect: the surviving neighbors whose unique odd colors the center
+#   avoids: "all", "none" (4v-weak) or "guard" (3v-weak-pair): those of
+#   degree 4+ at its deletion (neighbors colored or in rec.deleted), or the only one.
 # dodge_center: each 2-neighbor avoids the center's unique odd color, so
 #   the center keeps an odd class (a 4v-weak center has even degree).
 # dodge_lone: when the center has one surviving neighbor, each 2-neighbor
 #   avoids its color, so that color keeps multiplicity one on N(center).
 _STAR_REPLAY = {
-    "leaf": (True, False, False),
-    "three-vertex": (True, False, False),
-    "3v-with-2nbr": (True, False, False),
-    "5v-five-2nbrs": (True, False, False),
-    "adjacent-2": (True, False, True),
-    "4v-three-2nbrs": (True, False, True),
-    "star": (True, True, False),
-    "3v-weak-pair": (False, False, True),
-    "4v-weak": (False, True, False),
+    "leaf": ("all", False, False),
+    "three-vertex": ("all", False, False),
+    "3v-with-2nbr": ("all", False, False),
+    "5v-five-2nbrs": ("all", False, False),
+    "adjacent-2": ("all", False, True),
+    "4v-three-2nbrs": ("all", False, True),
+    "star": ("all", True, False),
+    "3v-weak-pair": ("guard", False, True),
+    "4v-weak": ("none", True, False),
 }
 
 
@@ -442,7 +439,7 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
                         avoid |= o
             _paint(col, odd, adj, u, _first_free(avoid, k))
         return
-    protect_surv, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
+    protect, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
     colored = col.__getitem__
     surv = [*filter(colored, adj[v])]  # read before any vertex of rec is colored
@@ -454,7 +451,10 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
         (x,) = filter(colored, adj[w])  # a 2-neighbour's one survivor
         anchors.append(x)
         avoid |= 1 << col[x]
-    for u in surv if protect_surv else rec.protect:
+    guard = surv if protect == "all" else () if protect == "none" else [
+        u for u in surv
+        if len(surv) == 1 or sum(1 for x in adj[u] if col[x] or x in rec.deleted) >= 4]
+    for u in guard:
         if (o := odd[u]) & (o - 1) == 0:
             avoid |= o
     _paint(col, odd, adj, v, _first_free(avoid, k))

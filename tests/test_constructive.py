@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -228,15 +229,16 @@ class TestFinders:
                 runs.append((g, five_reduction_records(g)))
         assert len(runs) >= 2 * len(graphs) + 10  # the five engine's band holds ten or more
         # every star 2-neighbour has exactly one survivor, its anchor in the
-        # replay, and a protected vertex survives next to the center
+        # replay, and a guarded vertex survives next to the center
         for g, records in runs:
             seen: set[int] = set()
-            for rec, front in zip(records, util.frontiers(g, records)):
+            for rec, front, guard in zip(records, util.frontiers(g, records),
+                                         util.guards(g, records)):
                 assert not seen.intersection(rec.deleted)
                 seen.update(rec.deleted)
                 if rec.kind != "adjacent-4v":
                     assert all(len(front[w]) == 1 for w in rec.deleted[1:])
-                    assert set(rec.protect) <= set(front[rec.deleted[0]])
+                    assert set(guard) <= set(front[rec.deleted[0]])
             assert seen == set(range(g.n))
             assert len(records) <= g.n
 
@@ -274,6 +276,33 @@ class TestRuleLifeCycle:
         assert rules[-1].match(st, 0) is None
         with pytest.raises(constructive.ReductionExhaustedError):
             eps_reduction_records(gen_complete(5), 1)
+
+    def test_keyed_row_stops_at_its_least_key(self, monkeypatch):
+        # every center of 200 disjoint K5s has charge 4 > 3: one scan per
+        # key, then one match at the least key, which fails, and every later
+        # center, of no smaller key, is left unmatched
+        calls = []
+        two = constructive._two_neighbors
+        monkeypatch.setattr(
+            constructive, "_two_neighbors", lambda st, v: calls.append(v) or two(st, v)
+        )
+        with pytest.raises(constructive.ReductionExhaustedError):
+            eps_reduction_records(util.disjoint_union(*[gen_complete(5)] * 200), 1)
+        assert len(calls) == 1001
+
+    def test_degree_tables_sized_by_the_rows(self):
+        # one hub of degree 2 * 10**5: a list of its own for every degree up
+        # to the maximum, in own and in each near table, took 58.9 MiB; the
+        # degrees above every row's centers share one empty list
+        g = gen_star(2 * 10**5)
+        tracemalloc.start()
+        try:
+            st = constructive._Reducer(g, constructive._FIVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert st.own[5] == [] and len(st.own) == g.n
 
 
 class TestColorSix:
@@ -761,12 +790,14 @@ def golden_runs(name, g):
             runs.append(("eps", eps, eps_reduction_records(g, eps), color_eps(g, eps)))
     entries = []
     for engine, eps, records, result in runs:
-        # the frontiers are derived from the sequence, so the hashes recorded
-        # when records stored them also pin what the replay reads off the coloring
+        # the frontiers and guards are derived from the sequence, so the
+        # hashes recorded when records stored them (as frontier and protect)
+        # also pin what the replay reads off the coloring
         canonical = [
-            {"kind": r.kind, "deleted": list(r.deleted), "protect": list(r.protect),
+            {"kind": r.kind, "deleted": list(r.deleted), "protect": list(guard),
              "frontier": {str(v): list(f) for v, f in front.items()}}
-            for r, front in zip(records, util.frontiers(g, records))
+            for r, front, guard in zip(records, util.frontiers(g, records),
+                                       util.guards(g, records))
         ]
         entries.append({
             "graph": name, "n": g.n, "m": g.m, "engine": engine,

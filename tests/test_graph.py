@@ -110,6 +110,20 @@ class TestParsing:
         with pytest.raises(GraphParseError):
             parse_dimacs("p col 2 1\ne 1 2\n")
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_edgelist, "3 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
+        (parse_edgelist, "# c\n-1 0\n", "line 2: bad header '-1 0'"),
+        (parse_dimacs, "p edge 2 1\np edge 2 1\n", "line 2: duplicate problem line"),
+        (parse_dimacs, "p edge 2 x\n", "line 1: expected 'p edge n m'"),
+        (parse_dimacs, "p edge 2 1\ne 1 2 3\n", "line 2: expected 'e u v'"),
+        (parse_dimacs, "p edge 2 1\ne 1 y\n", "line 2: expected 'e u v'"),
+        (parse_dimacs, "p edge 2 1\nx 1 2\n", "line 2: unknown line type 'x'"),
+    ])
+    def test_line_errors(self, parse, text, message):
+        with pytest.raises(GraphParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_round_trip_both_formats(self):
         rng = random.Random(42)
         for _ in range(25):

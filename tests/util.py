@@ -384,14 +384,37 @@ def frontiers(g: Graph, records: list) -> list[dict[int, tuple[int, ...]]]:
     return out
 
 
+def guards(g: Graph, records: list) -> list[tuple[int, ...]]:
+    """Per record, the surviving neighbours of a 3v-weak-pair center whose
+    unique odd color the center protects (() for every other kind): those
+    of degree 4 or more just before the deletion, in adjacency order, or
+    the one survivor when there is only one.  Found by tracking the alive
+    vertices forward through the sequence; records stored this tuple as
+    protect until the replay derived it from the coloring."""
+    alive = [True] * g.n
+    out = []
+    for rec in records:
+        v = rec.deleted[0]
+        surv = [u for u in g.neighbors(v) if alive[u] and u not in rec.deleted]
+        if rec.kind == "3v-weak-pair":
+            degree = {u: sum(map(alive.__getitem__, g.neighbors(u))) for u in surv}
+            out.append(tuple(u for u in surv if len(surv) == 1 or degree[u] >= 4))
+        else:
+            out.append(())
+        for u in rec.deleted:
+            alive[u] = False
+    return out
+
+
 def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
     """Colors from replaying an engine's records in reverse, with avoid sets
     and odd-color sets held as Python sets: an oracle for
     constructive._replay, which holds both as bit masks and reads each
-    record's survivors off the coloring, where this reads them from
-    frontiers().  Each vertex takes the smallest color in 1..k outside its
-    avoid set; a vertex's unique odd color is the one color of odd
-    multiplicity among its colored neighbors, when there is exactly one."""
+    record's survivors and 3v-weak-pair guard off the coloring, where this
+    reads them from frontiers() and guards().  Each vertex takes the
+    smallest color in 1..k outside its avoid set; a vertex's unique odd
+    color is the one color of odd multiplicity among its colored neighbors,
+    when there is exactly one."""
     col = [0] * g.n
     odd: list[set[int]] = [set() for _ in range(g.n)]
 
@@ -408,7 +431,8 @@ def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
         for w in g.neighbors(v):
             odd[w] ^= {c}
 
-    for rec, front in reversed(list(zip(records, frontiers(g, records)))):
+    for rec, front, guard in reversed(list(zip(records, frontiers(g, records),
+                                               guards(g, records)))):
         if rec.kind == "adjacent-4v":
             v, w, *twos = rec.deleted
             assign(v, {col[x] for u in twos if g.has_edge(u, v) for x in front[u]})
@@ -431,7 +455,7 @@ def replay_by_sets(g: Graph, records: list, k: int) -> list[int]:
         v, ws = rec.deleted[0], rec.deleted[1:]
         surv = front[v]
         avoid = {col[x] for near in front.values() for x in near}
-        assign(v, avoid.union(*map(unique, surv if protect_surv else rec.protect)))
+        assign(v, avoid.union(*map(unique, surv if protect_surv else guard)))
         for w in ws:
             (x,) = front[w]
             avoid = {col[v], col[x]} | unique(x)

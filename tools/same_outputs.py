@@ -6,12 +6,16 @@ The graphs are the perfbench `auto` and `engine` corpora of each seed,
 built with the parent's perfbench/workloads.py into a temporary directory,
 plus `gen kstar 3..7`.  On each graph it runs `color --strategy
 auto|five|six`, `color --strategy eps --epsilon 4/5`, `mad --witness` and
-`orient --alpha 3`.  Each side runs in a child process of its own, with its
-own src/ first on the path, and drives `oddcolor.cli.main` in process; the
-child reports the exit code and digests of stdout and stderr per run.  One
-line is printed for each run whose exit code or output differs, then a
-summary line; the exit code is 1 if any differ.  Stdlib only.  It writes
-nothing under perfbench/ or src/ (no bytecode either).
+`orient --alpha 3`, and it compares the reduction records of
+`five_reduction_records`, `six_reduction_records` and
+`eps_reduction_records(g, 4/5)`: a digest of each record's kind and deleted
+vertices, or the name of the exception raised.  Each side runs in a child
+process of its own, with its own src/ first on the path, and drives
+`oddcolor.cli.main` and the record functions in process; the child reports
+the exit code and digests of stdout and stderr per CLI run, and the record
+digest per engine.  One line is printed for each run whose result differs,
+then a summary line; the exit code is 1 if any differ.  Stdlib only.  It
+writes nothing under perfbench/ or src/ (no bytecode either).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 KSTARS = range(3, 8)
@@ -36,6 +41,11 @@ COMMANDS = {
     "eps": ["color", "--strategy", "eps", "--epsilon", "4/5"],
     "mad": ["mad", "--witness"],
     "orient": ["orient", "--alpha", "3"],
+}
+RECORDS = {
+    "five records": lambda oc, g: oc.five_reduction_records(g),
+    "six records": lambda oc, g: oc.six_reduction_records(g),
+    "eps records": lambda oc, g: oc.eps_reduction_records(g, Fraction(4, 5)),
 }
 
 
@@ -70,11 +80,22 @@ def run_cli(main, argv: list[str]) -> tuple[list, str]:
     return [code, digest(out.getvalue()), digest(err.getvalue())], out.getvalue()
 
 
+def run_records(oc, records, g) -> str:
+    """Digest of the (kind, deleted) pairs of one engine's records, or the
+    name of the exception it raised."""
+    try:
+        recs = records(oc, g)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}"
+    return digest(json.dumps([[r.kind, list(r.deleted)] for r in recs]))
+
+
 def child(job: dict) -> dict:
     """Every run of one side, keyed by graph and command."""
     src = Path(job["src"]).resolve()
     sys.path.insert(0, str(src))
     cli = importlib.import_module("oddcolor.cli")
+    oc = importlib.import_module("oddcolor")
     if Path(cli.__file__).resolve().parent != src / "oddcolor":
         raise ImportError(f"oddcolor was imported from {cli.__file__}, not from {src}")
     graphs = list(job["graphs"])
@@ -89,6 +110,9 @@ def child(job: dict) -> dict:
         for name, path in graphs:
             for label, argv in COMMANDS.items():
                 results[f"{name}: {label}"], _ = run_cli(cli.main, [*argv, "-i", path])
+            g = oc.parse_graph(Path(path).read_text(encoding="utf-8"))
+            for label, records in RECORDS.items():
+                results[f"{name}: {label}"] = run_records(oc, records, g)
     return results
 
 
