@@ -14,9 +14,9 @@ color of already-colored neighbors (so their odd color survives the new
 assignment).  Unique odd colors are always recomputed against the coloring
 as it stands, including vertices recolored earlier in the replay; with two
 or more odd classes nothing needs protecting, because a new neighbor color
-flips a single parity class.  The replay keeps its coloring in two plain
-lists: col (0: uncolored) and odd, per vertex the colors of odd
-multiplicity on its colored neighbours.  Those parities and the avoid sets
+flips a single parity class.  The replay keeps its coloring in plain lists:
+col (0: uncolored), and per vertex ncol, its number of colored neighbours,
+and odd, the colors of odd multiplicity on them.  Parities and avoid sets
 are bit masks: bit c stands for color c, and the color taken is the lowest
 clear bit.
 
@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .coloring import _first_free, _two_coloring, is_odd_coloring
 from .exact import SolveBudget, cycle_chi, odd_chromatic_number
@@ -113,16 +113,17 @@ _Match = Callable[["_Reducer", int], ReductionRecord | None]
 class _Rule(NamedTuple):
     """One row of an engine's rule table.
 
-    degrees: the current degrees a center may have.  match: the
-    configuration's record at a center, or None.  wake: the degrees a
-    neighbour of a center may fall to and thereby make it match (``_star``
-    derives it from its counts); far: the same holds for the neighbours of
-    a neighbour of the center's degree.
+    degrees: the current degrees a center may have, ascending; read by
+    `in` and for its last, never listed (the eps star's run to 8/eps).
+    match: the configuration's record at a center, or None.  wake: the
+    degrees a neighbour of a center may fall to and thereby make it match
+    (``_star`` derives it from its counts); far: the same holds for the
+    neighbours of a neighbour of the center's degree.
     key: the integer a center is chosen by, least first; rules without one
     take their lowest-indexed center.
     """
 
-    degrees: Collection[int]
+    degrees: Sequence[int]
     match: _Match
     wake: tuple[int, ...] = ()
     far: bool = False
@@ -163,10 +164,9 @@ class _Reducer:
         # stays empty until first() reaches it and fills its heap
         self.slots = [(rule, [], []) for rule in rules]
         top = max(deg, default=0) + 1
-        rows = min(top, 1 + max((d for rule in rules for d in rule.degrees), default=0))
-        # own[d]: the slots whose centers may have degree d; near[du][dv]:
-        # those a neighbour of degree dv is pushed to when u falls to du; the
-        # degrees from rows up, no row's centers, share one empty list
+        rows = min(top, 1 + max((rule.degrees[-1] for rule in rules if rule.degrees), default=-1))
+        # own[d]: the slots whose centers may have degree d, near[du][dv] those a
+        # neighbour of degree dv is pushed to when u falls to du; none from rows up
         pad = [[]] * (top - rows)
         self.own = [[s for s in self.slots if d in s[0].degrees] for d in range(rows)] + pad
         self.near = {
@@ -258,7 +258,7 @@ def _two_neighbors(st: _Reducer, v: int) -> list[int]:
 # Configurations: each matches at a center v of the degree its rule names
 
 
-def _star(kind: str, degrees: Collection[int], twos: int = 0, weak: int = 0) -> _Rule:
+def _star(kind: str, degrees: Sequence[int], twos: int = 0, weak: int = 0) -> _Rule:
     """Rule whose centers have at least weak neighbors of degree at most 3
     and at least twos 2-neighbors.  A row that counts weak neighbors deletes
     the center with all of its 2-neighbors, any other row with its first
@@ -386,9 +386,8 @@ def five_reduction_records(g: Graph) -> list[ReductionRecord]:
 
 
 # kind -> (protect, dodge_center, dodge_lone) for the star replay.
-# protect: the surviving neighbors whose unique odd colors the center
-#   avoids: "all", "none" (4v-weak) or "guard" (3v-weak-pair): those of
-#   degree 4+ at its deletion (neighbors colored or in rec.deleted), or the only one.
+# protect: the surviving neighbors whose unique odd colors the center avoids:
+#   "all", "none" (4v-weak) or "guard" (3v-weak-pair: degree 4+, or the only one).
 # dodge_center: each 2-neighbor avoids the center's unique odd color, so
 #   the center keeps an odd class (a 4v-weak center has even degree).
 # dodge_lone: when the center has one surviving neighbor, each 2-neighbor
@@ -406,16 +405,17 @@ _STAR_REPLAY = {
 }
 
 
-def _paint(col: list[int], odd: list[int], adj: list[list[int]], v: int, c: int) -> None:
-    """Color v with c and flip c's parity on each neighbour of v."""
+def _paint(col: list[int], odd: list[int], ncol: list[int], adj: list[list[int]], v: int, c: int) -> None:
+    """Color v with c; on each neighbour of v, flip c's parity and count v."""
     col[v] = c
     bit = 1 << c
     for w in adj[v]:
         odd[w] ^= bit
+        ncol[w] += 1
 
 
-def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
-            adj: list[list[int]]) -> None:
+def _replay(col: list[int], odd: list[int], ncol: list[int], k: int,
+            rec: ReductionRecord, adj: list[list[int]]) -> None:
     # avoid sets are bit masks, bit c for color c; a vertex's unique odd color
     # is its parity mask o when o & (o - 1) == 0 (one bit, or none: o = 0).
     # rec's survivors are the colored neighbours of its vertices, and an
@@ -428,7 +428,7 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
                 if center in adj[u]:
                     for x in adj[u]:
                         avoid |= 1 << col[x]
-            _paint(col, odd, adj, center, _first_free(avoid, k))
+            _paint(col, odd, ncol, adj, center, _first_free(avoid, k))
             avoid = 1 << col[center]
         for u in twos:
             avoid = 0
@@ -437,7 +437,7 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
                     avoid |= 1 << col[p]
                     if (o := odd[p]) & (o - 1) == 0:
                         avoid |= o
-            _paint(col, odd, adj, u, _first_free(avoid, k))
+            _paint(col, odd, ncol, adj, u, _first_free(avoid, k))
         return
     protect, dodge_center, dodge_lone = _STAR_REPLAY[rec.kind]
     v, ws = rec.deleted[0], rec.deleted[1:]
@@ -451,13 +451,13 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
         (x,) = filter(colored, adj[w])  # a 2-neighbour's one survivor
         anchors.append(x)
         avoid |= 1 << col[x]
+    # a survivor's degree at the deletion: its colored neighbours, v and the ws it anchors
     guard = surv if protect == "all" else () if protect == "none" else [
-        u for u in surv
-        if len(surv) == 1 or sum(1 for x in adj[u] if col[x] or x in rec.deleted) >= 4]
+        u for u in surv if len(surv) == 1 or ncol[u] + 1 + anchors.count(u) >= 4]
     for u in guard:
         if (o := odd[u]) & (o - 1) == 0:
             avoid |= o
-    _paint(col, odd, adj, v, _first_free(avoid, k))
+    _paint(col, odd, ncol, adj, v, _first_free(avoid, k))
     shared = 1 << col[v]  # what every 2-neighbor avoids, bar its own anchor
     if dodge_lone and len(surv) == 1:
         shared |= 1 << col[surv[0]]
@@ -467,13 +467,13 @@ def _replay(col: list[int], odd: list[int], k: int, rec: ReductionRecord,
             avoid |= o
         if dodge_center and (o := odd[v]) & (o - 1) == 0:
             avoid |= o
-        _paint(col, odd, adj, w, _first_free(avoid, k))
+        _paint(col, odd, ncol, adj, w, _first_free(avoid, k))
 
 
 def _replay_all(g: Graph, records: list[ReductionRecord], k: int, strategy: str) -> ColoringResult:
-    col, odd = [0] * g.n, [0] * g.n
+    col, odd, ncol = [0] * g.n, [0] * g.n, [0] * g.n
     for rec in reversed(records):
-        _replay(col, odd, k, rec, g._adj)
+        _replay(col, odd, ncol, k, rec, g._adj)
     if not all(col):
         raise RuntimeError("replay left vertices uncolored")
     return _finish(g, tuple(col), k, strategy)
@@ -626,9 +626,9 @@ def kstar_coloring(n: int) -> ColoringResult:
         raise ValueError("needs n >= 2")
     g = gen_kstar(n)
     k = n if n >= 3 else 3
-    col, odd = [0] * g.n, [0] * g.n
+    col, odd, ncol = [0] * g.n, [0] * g.n, [0] * g.n
     for h in range(n):
-        _paint(col, odd, g._adj, h, h + 1)
+        _paint(col, odd, ncol, g._adj, h, h + 1)
     for s in range(n, g.n):
-        _replay(col, odd, k, ReductionRecord("three-vertex", (s,)), g._adj)
+        _replay(col, odd, ncol, k, ReductionRecord("three-vertex", (s,)), g._adj)
     return _finish(g, tuple(col), k, "kstar")

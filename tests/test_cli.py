@@ -277,9 +277,9 @@ class TestColorVerify:
         assert out == ('{"k": 5, "colors": [5, 4, 1, 3, 2, 1, 2, 1, 1, 2, 1, 1, 2, 3, 1], '
                        '"strategy": "eps", "bound": 8000002}\n')
         g = oddcolor.gen_kstar(5)
-        col, odd = [0] * g.n, [0] * g.n
+        col, odd, ncol = [0] * g.n, [0] * g.n, [0] * g.n
         for rec in reversed(constructive._reduce_all(g, constructive._FIVE)):
-            constructive._replay(col, odd, 10**9, rec, g._adj)
+            constructive._replay(col, odd, ncol, 10**9, rec, g._adj)
         assert tuple(col) == oddcolor.color_five(g).colors
         for v in range(g.n):
             cols = [col[w] for w in g.neighbors(v)]

@@ -19,8 +19,9 @@ import util
 
 
 def blank(g):
-    """An empty coloring of g as the replay holds it: colors and parity masks."""
-    return [0] * g.n, [0] * g.n
+    """An empty coloring of g as the replay holds it: colors, parity masks
+    and colored-neighbour counts."""
+    return [0] * g.n, [0] * g.n, [0] * g.n
 
 
 def odd_colors(mask):
@@ -33,9 +34,9 @@ class TestPartialColoring:
 
     def test_assign_updates_neighbor_parity(self):
         g = gen_cycle(4)
-        col, odd = blank(g)
+        col, odd, ncol = blank(g)
         for v, c in ((0, 1), (1, 2), (2, 1)):
-            _paint(col, odd, g._adj, v, c)
+            _paint(col, odd, ncol, g._adj, v, c)
         assert col == [1, 2, 1, 0]
         assert odd_colors(odd[1]) == set()
         assert odd_colors(odd[3]) == set()
@@ -45,9 +46,9 @@ class TestPartialColoring:
     def test_odd_color_set_examples(self):
         star = gen_star(3)
         for colors, want in (((1, 1, 2), {2}), ((1, 2, 3), {1, 2, 3}), ((1, 1), set())):
-            col, odd = blank(star)
+            col, odd, ncol = blank(star)
             for leaf, c in zip((1, 2, 3), colors):
-                _paint(col, odd, star._adj, leaf, c)
+                _paint(col, odd, ncol, star._adj, leaf, c)
             assert odd_colors(odd[0]) == want
             # the mask test the replay uses for "one odd color, or none"
             assert (odd[0] & (odd[0] - 1) == 0) == (len(want) <= 1)
@@ -55,15 +56,15 @@ class TestPartialColoring:
     def test_parity_matches_recount_under_stress(self):
         rng = random.Random(23)
         g = util.random_graph(rng, 14, 30)
-        col, odd = blank(g)
+        col, odd, ncol = blank(g)
         ops = 0
         while ops < 10_000:
             moves = [(v, c) for v in range(g.n) if col[v] == 0
                      for c in range(1, 7) if all(col[w] != c for w in g.neighbors(v))]
             if not moves:  # every vertex colored or stuck: start a fresh coloring
-                col, odd = blank(g)
+                col, odd, ncol = blank(g)
                 continue
-            _paint(col, odd, g._adj, *rng.choice(moves))
+            _paint(col, odd, ncol, g._adj, *rng.choice(moves))
             ops += 1
             if ops % 250 == 0:
                 for u in range(g.n):
@@ -72,6 +73,7 @@ class TestPartialColoring:
                         if col[w]:
                             recount[col[w]] = recount.get(col[w], 0) + 1
                     assert odd_colors(odd[u]) == {c for c, k in recount.items() if k % 2 == 1}
+                    assert ncol[u] == sum(recount.values())
 
     def test_odd_degree_vertices_always_have_odd_color(self):
         # multiplicities over an odd-size neighborhood sum to an odd number
@@ -79,10 +81,10 @@ class TestPartialColoring:
         for _ in range(40):
             n = rng.randint(2, 9)
             g = util.random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
-            col, odd = blank(g)
+            col, odd, ncol = blank(g)
             for v in range(n):
                 used = {col[w] for w in g.neighbors(v)}
-                _paint(col, odd, g._adj, v, min(c for c in range(1, n + 1) if c not in used))
+                _paint(col, odd, ncol, g._adj, v, min(c for c in range(1, n + 1) if c not in used))
             for v in range(n):
                 if g.degree(v) % 2 == 1:
                     assert odd[v]

@@ -229,16 +229,14 @@ class TestFinders:
                 runs.append((g, five_reduction_records(g)))
         assert len(runs) >= 2 * len(graphs) + 10  # the five engine's band holds ten or more
         # every star 2-neighbour has exactly one survivor, its anchor in the
-        # replay, and a guarded vertex survives next to the center
+        # replay
         for g, records in runs:
             seen: set[int] = set()
-            for rec, front, guard in zip(records, util.frontiers(g, records),
-                                         util.guards(g, records)):
+            for rec, front in zip(records, util.frontiers(g, records)):
                 assert not seen.intersection(rec.deleted)
                 seen.update(rec.deleted)
                 if rec.kind != "adjacent-4v":
                     assert all(len(front[w]) == 1 for w in rec.deleted[1:])
-                    assert set(guard) <= set(front[rec.deleted[0]])
             assert seen == set(range(g.n))
             assert len(records) <= g.n
 
@@ -289,6 +287,34 @@ class TestRuleLifeCycle:
         with pytest.raises(constructive.ReductionExhaustedError):
             eps_reduction_records(util.disjoint_union(*[gen_complete(5)] * 200), 1)
         assert len(calls) == 1001
+
+    def test_tiny_eps_lists_no_degree_of_its_star(self):
+        # at eps = 10**-12 the eps star's degrees run to 8 * 10**12: the
+        # tables are sized by a row's last degree, and the reduction only
+        # ever asks whether a degree is a row's
+        class Unlisted:
+            def __init__(self, degrees):
+                self.degrees = degrees
+
+            def __contains__(self, d):
+                return d in self.degrees
+
+            def __len__(self):
+                return len(self.degrees)
+
+            def __getitem__(self, i):
+                return self.degrees[i]
+
+            def __iter__(self):
+                raise AssertionError("a row's degrees were listed")
+
+        g = gen_kstar(5)
+        rules, k = constructive._eps_engine(Fraction(1, 10**12))
+        rules = tuple(rule._replace(degrees=Unlisted(rule.degrees)) for rule in rules)
+        st = constructive._Reducer(g, rules)
+        assert len(st.own) == 5 and st.own[4]
+        assert constructive._reduce_all(g, rules) == eps_reduction_records(g, Fraction(1, 10**12))
+        assert color_eps(g, Fraction(1, 10**12)).bound == k == 8 * 10**12 + 2
 
     def test_degree_tables_sized_by_the_rows(self):
         # one hub of degree 2 * 10**5: a list of its own for every degree up
@@ -351,6 +377,52 @@ class TestColorFive:
     def test_precondition(self):
         with pytest.raises(ValueError, match="mad"):
             color_five(gen_kstar(7))
+
+    # the 3v-weak-pair guard decides these colorings.  First: center 0
+    # keeps 1 and 2, both of degree 3, so it guards neither; guarding 1, whose
+    # one colored neighbour gives it one odd color, would give 0 color 4.
+    # Second: center 1 keeps only 9, of degree 3, and guards it as its one
+    # survivor
+    GUARDED = {
+        "degree-3 pair": (Graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5),
+                                    (3, 5)]),
+                          ("3v-weak-pair", (0, 4)), (3, 1, 2, 3, 2, 1)),
+        "one survivor": (Graph(10, [(0, 1), (0, 2), (0, 9), (1, 8), (1, 9), (3, 4), (3, 8),
+                                    (4, 9), (5, 6), (5, 7), (5, 8), (6, 7), (6, 9)]),
+                         ("3v-weak-pair", (1, 0, 8)), (2, 4, 1, 2, 4, 2, 3, 1, 3, 1)),
+    }
+
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_weak_pair_guard_pins_the_coloring(self, name):
+        g, record, colors = self.GUARDED[name]
+        records = five_reduction_records(g)
+        assert record in [(r.kind, r.deleted) for r in records]
+        assert color_five(g).colors == colors
+        assert util.replay_by_sets(g, records, 5) == list(colors)
+
+    def test_replay_guard_is_util_guards(self):
+        # a 3v-weak-pair center protects its colored neighbours whose degree
+        # at the deletion, their colored neighbours as _paint counted them
+        # plus those deleted with the center, is 4 or more (or its one
+        # colored neighbour): the same vertices util.guards finds by
+        # tracking the alive vertices forward
+        rng = random.Random(107)
+        shapes = Counter()
+        for g in util.certified_graphs(rng, 200, lambda g: mad_below(g, Fraction(20, 7)),
+                                       (6, 30), (1.1, 1.4)):
+            records = five_reduction_records(g)
+            col, odd, ncol = [0] * g.n, [0] * g.n, [0] * g.n
+            for rec, guard in reversed(list(zip(records, util.guards(g, records)))):
+                if rec.kind == "3v-weak-pair":
+                    surv = [u for u in g.neighbors(rec.deleted[0]) if col[u]]
+                    degree = {u: ncol[u] + sum(x in rec.deleted for x in g.neighbors(u))
+                              for u in surv}
+                    assert [u for u in surv if len(surv) == 1 or degree[u] >= 4] == list(guard)
+                    shapes["lone" if len(surv) == 1 else len(guard) < len(surv)] += 1
+                constructive._replay(col, odd, ncol, 5, rec, g._adj)
+            assert_valid(g, constructive._finish(g, tuple(col), 5, "five"))
+        # every shape is met: one survivor, all guarded, some left out
+        assert min(shapes["lone"], shapes[False], shapes[True]) >= 10
 
     def test_triangle_has_coinciding_outer_anchors(self):
         # the adjacent-2 record on a triangle has the same third vertex on

@@ -254,9 +254,9 @@ def test_reduction_order_on_kernel_graphs(g):
 
 
 def replay_by_masks(g, records, k):
-    col, odd = [0] * g.n, [0] * g.n
+    col, odd, ncol = [0] * g.n, [0] * g.n, [0] * g.n
     for rec in reversed(records):
-        constructive._replay(col, odd, k, rec, g._adj)
+        constructive._replay(col, odd, ncol, k, rec, g._adj)
     return col
 
 
