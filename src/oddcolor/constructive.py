@@ -20,20 +20,21 @@ and odd, the colors of odd multiplicity on them.  Parities and avoid sets
 are bit masks: bit c stands for color c, and the color taken is the lowest
 clear bit.
 
-The reduction loop (``_reduce_all``) first deletes every leaf, a vertex of
-degree 0 or 1, lowest index first, as each appears; only when none is left
-does it consult the engine's rules.  An engine is an ordered table of
-rules, one per reducible configuration of the paper's discharging
-argument.  A rule names the current degrees its center may have and a
-match function that returns the configuration's record at a vertex, or
-None.  The first rule that matches wins, at its lowest-indexed vertex, so
-reductions are fully deterministic; the eps engine ends in one rule keyed
-by charge, which picks the degree-4+ vertex of least charge.  One object
-(``_Reducer``) holds the loop's state: the alive vertices, their current
-degrees, the leaf heap and, per rule, a lazily checked heap of candidate
-centers, filled when the loop first reaches the rule; a deletion pushes
-only the vertices in the rule's reach (its wake) whose degree, or a
-neighbour's, fell.
+The reduction loop (``_reduce_all``) takes one record per step and deletes
+what it names.  The record is a leaf, a vertex of degree 0 or 1, lowest
+index first, while there is one; only when none is left are the engine's
+rules consulted.  An engine is an ordered table of rules, one per reducible
+configuration of the paper's discharging argument.  A rule names the
+current degrees its center may have and a match function that returns the
+configuration's record at a vertex, or None.  The first rule that matches
+wins, at its lowest-indexed vertex, so reductions are fully deterministic;
+the eps engine ends in one rule keyed by charge, which picks the degree-4+
+vertex of least charge.  One object (``_Reducer``) holds the loop's state
+and its two steps: first() gives the next record and delete() deletes it.
+The state is the alive vertices, their current degrees, the leaf heap and,
+per rule, a lazily checked heap of candidate centers, filled when first()
+first reaches the rule; a deletion pushes only the vertices in the rule's
+reach (its wake) whose degree, or a neighbour's, fell.
 
 Most rows are plain stars built by ``_star`` from counts: a center with at
 least t 2-neighbors, or at least w neighbors of degree at most 3, deleted
@@ -136,21 +137,23 @@ _Slot = tuple[_Rule, list[tuple[int, int]], list[int | None]]  # rule, heap, las
 class _Reducer:
     """One reduction's state: the alive vertices, their current degrees, how
     many remain, a min-heap of leaves (vertices of degree below 2) and, per
-    rule, a lazily checked min-heap of candidate centers.  delete queues every
-    vertex it brings below degree 2 and a pop skips dead entries, so a leaf
-    queued at degree 1 and again at 0 is recorded once.
+    rule, a lazily checked min-heap of candidate centers.  first() gives the
+    next record, delete() deletes its vertices.  delete queues every vertex
+    it brings below degree 2, and first() takes the lowest alive leaf before
+    any rule, skipping dead entries, so a leaf queued at degree 1 and again
+    at 0 is taken once.
 
     Every alive vertex that matches a rule has an entry (key, v) in the
     rule's heap with its current key (0 for a rule without one).
     Degrees only fall, so after a deletion a vertex can start matching, or
     change its key, only if its own degree fell or, within the rule's
-    reach, a neighbour's did: wake pushes exactly those.  A rule's last[v]
+    reach, a neighbour's did: delete pushes exactly those.  A rule's last[v]
     is the key of v's newest entry, None once that entry is popped, so v is
     queued once per key and its older entries are skipped.  The entry at
     the top is checked again (alive, of the rule's degree, matching) and
     dropped when it fails, so the first that passes is the first rule's
     lowest center, or its center of least key.  Each rule's heap is filled
-    from the live graph when first() first reaches it, and wake skips it
+    from the live graph when first() first reaches it, and delete skips it
     until then; from then on the invariant holds, so its choice is the same.
     """
 
@@ -178,15 +181,15 @@ class _Reducer:
         alive = self.alive
         return [w for w in self.adj[v] if alive[w]]
 
-    def delete(self, vs: tuple[int, ...]) -> list[int]:
-        """Delete vs; return the alive vertices whose degree fell, once each."""
+    def delete(self, vs: tuple[int, ...]) -> None:
+        """Delete vs, queue the leaves it makes and push what may match now."""
         adj, alive, deg, leaves = self.adj, self.alive, self.deg, self.leaves
         for v in vs:
             if not alive[v]:
                 raise RuntimeError(f"vertex {v} deleted twice")
             alive[v] = False
         self.remaining -= len(vs)
-        fell: dict[int, None] = {}
+        fell: dict[int, None] = {}  # the alive vertices whose degree fell, once each
         for v in vs:
             for w in adj[v]:
                 if alive[w]:
@@ -194,21 +197,6 @@ class _Reducer:
                     fell[w] = None
                     if deg[w] < 2:
                         heappush(leaves, w)
-        return list(fell)
-
-    def push(self, v: int, slots: list[_Slot]) -> None:
-        """Give v a current entry in the heaps of these rules."""
-        for rule, heap, last in slots:
-            if not last:  # not filled yet
-                continue
-            k = rule.key(self, v) if rule.key else 0
-            if last[v] != k:
-                last[v] = k
-                heappush(heap, (k, v))
-
-    def wake(self, fell: list[int]) -> None:
-        """Push what may match after a deletion lowered the degrees of fell."""
-        adj, alive, deg = self.adj, self.alive, self.deg
         for u in fell:
             self.push(u, self.own[deg[u]])
             near = self.near.get(deg[u])
@@ -223,9 +211,24 @@ class _Reducer:
                                 if alive[w] and deg[w] in slot[0].degrees:
                                     self.push(w, [slot])
 
+    def push(self, v: int, slots: list[_Slot]) -> None:
+        """Give v a current entry in the heaps of these rules."""
+        for rule, heap, last in slots:
+            if not last:  # not filled yet
+                continue
+            k = rule.key(self, v) if rule.key else 0
+            if last[v] != k:
+                last[v] = k
+                heappush(heap, (k, v))
+
     def first(self) -> ReductionRecord | None:
-        """Record of the first rule that matches, at its lowest center."""
-        alive, deg = self.alive, self.deg
+        """The next record: the lowest leaf, else the first rule that matches,
+        at its lowest center; None when there is neither."""
+        alive, deg, leaves = self.alive, self.deg, self.leaves
+        while leaves:
+            v = heappop(leaves)
+            if alive[v]:  # else queued again at a lower degree
+                return ReductionRecord("leaf", (v,))
         for rule, heap, last in self.slots:
             if not last:  # reached for the first time: fill in place
                 last += [None] * len(alive)
@@ -289,12 +292,12 @@ def _adjacent_four(st: _Reducer, v: int) -> ReductionRecord | None:
     return ReductionRecord("adjacent-4v", (v, w, *sorted(set(twos_v) | set(twos_w))))
 
 
-# Rule tables, in priority order; _reduce_all deletes every leaf before it
-# consults them.  _star rows derive their wakes; adjacent-4v's is written by
+# Rule tables, in priority order; first() takes every leaf before it consults
+# them.  _star rows derive their wakes; adjacent-4v's is written by
 # hand: it also wakes on its partner falling to 4, and far carries a wake one
 # step on, so a new 2-neighbour of the partner wakes the center too.  A drop
-# to 1 needs no wake: the loop deletes that leaf before any rule runs, and
-# the deletion wakes the center itself.
+# to 1 needs no wake: that leaf is taken before any rule runs, and its
+# deletion wakes the center itself.
 _ADJACENT_TWO = _star("adjacent-2", (2,), twos=1)
 _SIX = (
     _ADJACENT_TWO,
@@ -316,26 +319,17 @@ _EPS_RULES = (
 
 
 def _reduce_all(g: Graph, rules: tuple[_Rule, ...]) -> list[ReductionRecord]:
-    """An engine's deletion sequence; it deletes the leaves itself, and it
-    alone raises ReductionExhaustedError, when no rule matches."""
+    """An engine's deletion sequence, leaves included; it alone raises
+    ReductionExhaustedError, when nothing is left to take."""
     st = _Reducer(g, rules)
-    alive, leaves = st.alive, st.leaves
     records = []
-    while True:
-        while leaves:
-            v = heappop(leaves)
-            if alive[v]:  # else queued again at a lower degree
-                records.append(ReductionRecord("leaf", (v,)))
-                st.wake(st.delete((v,)))
-        if not st.remaining:
-            return records
+    while st.remaining:
         rec = st.first()
         if rec is None:
-            raise ReductionExhaustedError(
-                "no reducible configuration in a non-empty graph"
-            )
+            raise ReductionExhaustedError("no reducible configuration in a non-empty graph")
         records.append(rec)
-        st.wake(st.delete(rec.deleted))
+        st.delete(rec.deleted)
+    return records
 
 
 def _eps_engine(eps: Fraction) -> tuple[tuple[_Rule, ...], int]:

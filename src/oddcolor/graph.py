@@ -7,7 +7,6 @@ DIMACS ("p edge n m" header, then "e u v" lines, 1-based).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 10**6  # largest n a parsed header or a CLI generator may ask for
@@ -67,41 +66,36 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
+    def _reach(self, s: int, seen: list[bool]) -> list[int]:
+        """Mark seen, and list in breadth-first order, the unseen vertices reachable from s."""
+        adj, order = self._adj, [s]
+        seen[s] = True
+        for u in order:  # a list grown while it is walked: a FIFO queue
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        return order
+
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
         seen = [False] * self.n
-        comps = []
+        return [sorted(self._reach(s, seen)) for s in range(self.n) if not seen[s]]
+
+    def bipartition(self) -> list[int] | None:
+        """Two-color the vertices (0/1 per side, 0 at each component's smallest
+        vertex), or None if an odd cycle exists."""
+        adj, seen, side = self._adj, [False] * self.n, [-1] * self.n
         for s in range(self.n):
             if seen[s]:
                 continue
-            comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def bipartition(self) -> list[int] | None:
-        """Two-color the vertices (0/1 per side), or None if an odd cycle exists."""
-        side = [-1] * self.n
-        for s in range(self.n):
-            if side[s] != -1:
-                continue
             side[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
+            for u in self._reach(s, seen):  # each vertex comes after the one that reached it
+                other = 1 - side[u]
+                for w in adj[u]:
                     if side[w] == -1:
-                        side[w] = 1 - side[u]
-                        queue.append(w)
-                    elif side[w] == side[u]:
+                        side[w] = other
+                    elif side[w] != other:
                         return None
         return side
 
@@ -223,9 +217,10 @@ def parse_edgelist(text: str) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS: "p edge n m" header then "e u v" lines (1-based)."""
+    """Parse DIMACS: "p edge n m" header then "e u v" lines (1-based, as in its errors)."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -240,6 +235,8 @@ def parse_dimacs(text: str) -> Graph:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise GraphParseError(f"line {lineno}: expected 'p edge n m'") from None
+            if min(header) < 0:
+                raise GraphParseError(f"line {lineno}: expected 'p edge n m'")
         elif parts[0] == "e":
             if header is None:
                 raise GraphParseError(f"line {lineno}: edge before problem line")
@@ -249,8 +246,14 @@ def parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: expected 'e u v'") from None
-            if u < 1 or v < 1:
-                raise GraphParseError(f"line {lineno}: DIMACS vertices are 1-based")
+            if out := [x for x in (u, v) if not 1 <= x <= header[0]]:
+                raise GraphParseError(f"line {lineno}: vertex {out[0]} is not in 1..{header[0]}")
+            if u == v:
+                raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise GraphParseError(f"line {lineno}: duplicate edge {e}")
+            seen.add(e)
             edges.append((u - 1, v - 1))
         else:
             raise GraphParseError(f"line {lineno}: unknown line type {parts[0]!r}")

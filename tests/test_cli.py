@@ -471,6 +471,13 @@ class TestErrorsAndDeterminism:
         proc = run(["mad"], stdin="2 1\n0 0\n")
         assert proc.returncode == 2 and "self-loop" in proc.stderr
 
+    @pytest.mark.parametrize("text, message", util.DIMACS_ERRORS)
+    def test_dimacs_errors_exit_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.dimacs"
+        path.write_text(text)
+        assert cli.main(["mad", "--format", "dimacs", "-i", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]).returncode == 2
 

@@ -248,7 +248,8 @@ class TestFinders:
 
     def test_delete_refuses_a_dead_vertex(self):
         st = constructive._Reducer(gen_path(3), ())
-        assert st.delete((1,)) == [0, 2] and st.remaining == 2
+        st.delete((1,))
+        assert st.deg == [0, 2, 0] and st.remaining == 2  # a dead vertex keeps its degree
         with pytest.raises(RuntimeError, match="vertex 1 deleted twice"):
             st.delete((1,))
         with pytest.raises(RuntimeError, match="vertex 0 deleted twice"):
@@ -259,6 +260,21 @@ class TestRuleLifeCycle:
     # every row fills its heap from the live graph when first() first
     # reaches it; a row that matches nowhere returns None, and only the loop
     # raises ReductionExhaustedError
+
+    def test_leaves_come_first_and_once(self):
+        # a leaf is the first record while one is alive, before any rule
+        assert constructive._Reducer(gen_path(3), constructive._FIVE).first() == (
+            constructive.ReductionRecord("leaf", (0,)))
+        # leaf 2 of a star is queued at degree 1, and again at 0 once the
+        # center goes; the dead entry left behind is skipped
+        st = constructive._Reducer(gen_star(2), constructive._FIVE)
+        taken = []
+        while st.remaining:
+            rec = st.first()
+            taken.append(rec)
+            st.delete(rec.deleted)
+        assert [(r.kind, r.deleted) for r in taken] == [("leaf", (1,)), ("leaf", (0,)), ("leaf", (2,))]
+        assert st.leaves == [2] and st.first() is None
 
     def test_rows_fill_on_first_reach(self):
         st = constructive._Reducer(gen_cycle(7), constructive._FIVE)

@@ -118,7 +118,7 @@ class TestParsing:
         (parse_dimacs, "p edge 2 1\ne 1 2 3\n", "line 2: expected 'e u v'"),
         (parse_dimacs, "p edge 2 1\ne 1 y\n", "line 2: expected 'e u v'"),
         (parse_dimacs, "p edge 2 1\nx 1 2\n", "line 2: unknown line type 'x'"),
-    ])
+    ] + [(parse_dimacs, text, message) for text, message in util.DIMACS_ERRORS])
     def test_line_errors(self, parse, text, message):
         with pytest.raises(GraphParseError) as info:
             parse(text)

@@ -311,6 +311,33 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 
 @st.composite
+def walk_graphs(draw):
+    """Graphs for the breadth-first walks: G(n, m) with isolated vertices,
+    random forests, and partly or fully subdivided graphs (fully: bipartite,
+    often disconnected)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["sparse", "forest", "subdivided"]))
+    n = draw(st.integers(0, 30))
+    if kind == "forest":
+        return util.random_forest(rng, n, rng.choice((0.5, 0.9, 1)))
+    g = util.random_graph(rng, n, rng.randint(0, 2 * n))
+    return util.partial_subdivide(rng, g, rng.choice((0.5, 1))) if kind == "subdivided" else g
+
+
+@settings(SETTINGS, max_examples=200)
+@given(walk_graphs())
+def test_components_and_bipartition_match_networkx(g):
+    h = to_networkx(g)
+    comps = sorted(sorted(c) for c in nx.connected_components(h))
+    assert g.components() == comps
+    side = g.bipartition()
+    assert (side is None) == (not nx.is_bipartite(h))
+    if side is not None:
+        assert set(side) <= {0, 1} and all(side[u] != side[v] for u, v in g.edges())
+        assert all(side[c[0]] == 0 for c in comps)
+
+
+@st.composite
 def dispatch_graphs(draw):
     """Graphs for the dispatch tests, n >= 1: random ones with m < n
     ("sparse") or m >= n ("dense"), random forests, random bipartite

@@ -19,6 +19,18 @@ from oddcolor.constructive import _Reducer
 from oddcolor.graph import _contract
 
 
+# DIMACS errors name the line and the file's own 1-based vertices
+DIMACS_ERRORS = [
+    ("p edge 3 1\ne 1 4\n", "line 2: vertex 4 is not in 1..3"),
+    ("p edge 3 1\ne 0 1\n", "line 2: vertex 0 is not in 1..3"),
+    ("p edge 3 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+    ("p edge 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge (1, 2)"),
+    ("p edge 3 2\ne 3 1\ne 1 3\n", "line 3: duplicate edge (1, 3)"),
+    ("p edge -1 0\n", "line 1: expected 'p edge n m'"),
+    ("p edge 3 -1\n", "line 1: expected 'p edge n m'"),
+]
+
+
 def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

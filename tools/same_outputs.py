@@ -6,14 +6,18 @@ The graphs are the perfbench `auto` and `engine` corpora of each seed,
 built with the parent's perfbench/workloads.py into a temporary directory,
 plus `gen kstar 3..7`.  On each graph it runs `color --strategy
 auto|five|six`, `color --strategy eps --epsilon 4/5`, `mad --witness` and
-`orient --alpha 3`, and it compares the reduction records of
+`orient --alpha 3`, and on `gen kstar 3..6` also `exact` (kstar 7 takes
+about two minutes).  It compares the reduction records of
 `five_reduction_records`, `six_reduction_records` and
 `eps_reduction_records(g, 4/5)`: a digest of each record's kind and deleted
-vertices, or the name of the exception raised.  Each side runs in a child
-process of its own, with its own src/ first on the path, and drives
-`oddcolor.cli.main` and the record functions in process; the child reports
-the exit code and digests of stdout and stderr per CLI run, and the record
-digest per engine.  One line is printed for each run whose result differs,
+vertices, or the name of the exception raised.  It compares a digest of
+`g.components()` and of `g.bipartition()` too; the subdivided corpus graphs
+are bipartite and often disconnected, and no CLI run reaches `bipartition`
+on them.  Each side runs in a child process of its own, with its own src/
+first on the path, and drives `oddcolor.cli.main`, the record functions and
+the graph queries in process; the child reports the exit code and digests
+of stdout and stderr per CLI run, the record digest per engine and the
+digest per query.  One line is printed for each run whose result differs,
 then a summary line; the exit code is 1 if any differ.  Stdlib only.  It
 writes nothing under perfbench/ or src/ (no bytecode either).
 """
@@ -34,6 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 KSTARS = range(3, 8)
+EXACT_KSTARS = range(3, 7)
 COMMANDS = {
     "auto": ["color", "--strategy", "auto"],
     "five": ["color", "--strategy", "five"],
@@ -107,12 +112,16 @@ def child(job: dict) -> dict:
             path = Path(tmp) / f"kstar{n}.txt"
             path.write_text(text, encoding="utf-8")
             graphs.append((name, str(path)))
+            if n in EXACT_KSTARS:
+                results[f"{name}: exact"], _ = run_cli(cli.main, ["exact", "-i", str(path)])
         for name, path in graphs:
             for label, argv in COMMANDS.items():
                 results[f"{name}: {label}"], _ = run_cli(cli.main, [*argv, "-i", path])
             g = oc.parse_graph(Path(path).read_text(encoding="utf-8"))
             for label, records in RECORDS.items():
                 results[f"{name}: {label}"] = run_records(oc, records, g)
+            for query in ("components", "bipartition"):
+                results[f"{name}: {query}"] = digest(json.dumps(getattr(g, query)()))
     return results
 
 
